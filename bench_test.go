@@ -152,47 +152,38 @@ func BenchmarkFigure7XL(b *testing.B) {
 }
 
 // BenchmarkXLLadderByPolicy measures one cell of the extended 128–1024
-// core ladder per policy SKU under both execution engines: seq is the
-// sequential oracle, par4 the parallel epoch-barrier engine at 4 workers
-// (clamped to GOMAXPROCS, so on a single-CPU host it degenerates to the
-// async machinery with one worker — the overhead bound, not a speedup).
-// The two report identical simms/run and miss% by construction; the
-// wall-clock ratio per RS/RRS/LS/LSM/ARR cell is the per-policy speedup
-// table of PERFORMANCE.md. CI's bench smoke runs the 128c rung (the
-// 512/1024c rungs match its XL skip filter); the multicore job times the
-// 512c point end to end.
+// core ladder per policy SKU (RS/RRS/LS/LSM/ARR) at one experiment
+// worker. A warm-up run outside the timer fills the analysis caches, so
+// the reported time is one warm cell's cost, mostly simulation. CI's
+// bench smoke runs the 128c rung (the 512/1024c rungs match its XL skip
+// filter); the multicore job times the 512c point end to end.
 func BenchmarkXLLadderByPolicy(b *testing.B) {
 	points := []locsched.XLPoint{
 		{Cores: 128, Tasks: 32}, {Cores: 512, Tasks: 128}, {Cores: 1024, Tasks: 256},
 	}
 	for _, pt := range points {
 		for _, pol := range append(locsched.Policies(), locsched.ARR) {
-			for _, engine := range []string{"seq", "par4"} {
-				b.Run(fmt.Sprintf("%dc-T%d/%s/%s", pt.Cores, pt.Tasks, pol, engine), func(b *testing.B) {
-					cfg := benchConfig()
-					cfg.Machine.Cores = pt.Cores
-					cfg.Workers = 1
-					if engine == "par4" {
-						cfg.SimWorkers = 4
-					}
-					apps, err := locsched.BuildMixApps(pt.Tasks, cfg.Workload)
+			b.Run(fmt.Sprintf("%dc-T%d/%s", pt.Cores, pt.Tasks, pol), func(b *testing.B) {
+				cfg := benchConfig()
+				cfg.Machine.Cores = pt.Cores
+				cfg.Workers = 1
+				apps, err := locsched.BuildMixApps(pt.Tasks, cfg.Workload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var last *locsched.RunResult
+				if last, err = locsched.RunConcurrent(apps, pol, cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					last, err = locsched.RunConcurrent(apps, pol, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
-					var last *locsched.RunResult
-					if last, err = locsched.RunConcurrent(apps, pol, cfg); err != nil {
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						last, err = locsched.RunConcurrent(apps, pol, cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					reportRun(b, last)
-				})
-			}
+				}
+				reportRun(b, last)
+			})
 		}
 	}
 }

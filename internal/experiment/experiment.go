@@ -13,7 +13,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"locsched/internal/layout"
@@ -84,16 +83,6 @@ type Config struct {
 	// cells run concurrently with deterministic, cell-ordered results.
 	// 0 means GOMAXPROCS; 1 forces sequential execution.
 	Workers int
-
-	// SimWorkers bounds the intra-run worker pool of the parallel
-	// simulation engine (mpsoc.RunParallel): per-core segment simulations
-	// between scheduling events fan out across this many goroutines, with
-	// results bit-identical to the sequential engine at any value. 0 (the
-	// default) runs the sequential oracle; ≥ 1 selects the parallel
-	// engine. The Workers × SimWorkers product is clamped to a shared
-	// GOMAXPROCS budget (see effectiveSimWorkers), so combining cell-level
-	// and intra-run parallelism never oversubscribes the host.
-	SimWorkers int
 }
 
 // DefaultConfig uses the paper's Table 2 machine, workload scale 2, a
@@ -132,9 +121,6 @@ func (c Config) Validate() error {
 	}
 	if c.AffinityDecay < 0 {
 		return fmt.Errorf("experiment: affinity decay %d must be non-negative", c.AffinityDecay)
-	}
-	if c.SimWorkers < 0 {
-		return fmt.Errorf("experiment: sim workers %d must be non-negative", c.SimWorkers)
 	}
 	return nil
 }
@@ -253,7 +239,7 @@ func RunGraph(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Poli
 	if err != nil {
 		return nil, err
 	}
-	res, err := runner.RunParallel(disp, effectiveSimWorkers(cfg.Workers, cfg.SimWorkers, runtime.GOMAXPROCS(0)))
+	res, err := runner.Run(disp)
 	if err != nil {
 		return nil, err
 	}

@@ -14,33 +14,6 @@ import (
 // returned error is the first failing cell in cell order.
 //
 // workers ≤ 0 uses GOMAXPROCS; workers == 1 (or n == 1) runs inline.
-// effectiveSimWorkers resolves the intra-run engine pool size for one
-// cell so that cell-level (Workers) and intra-run (SimWorkers)
-// parallelism share one CPU budget instead of multiplying goroutines:
-// each of the cellWorkers concurrent cells gets an equal share of the
-// budget (at least 1), and simWorkers is clamped to that share.
-// simWorkers <= 0 selects the sequential engine outright; cellWorkers
-// <= 0 means GOMAXPROCS cells may run at once, leaving a share of 1.
-// E.g. Workers=4, SimWorkers=4 on GOMAXPROCS=2 yields 1 — four
-// concurrent cells each running the parallel engine single-worker —
-// not 16 runnable goroutines.
-func effectiveSimWorkers(cellWorkers, simWorkers, budget int) int {
-	if simWorkers <= 0 {
-		return 0
-	}
-	if cellWorkers <= 0 {
-		cellWorkers = budget
-	}
-	share := budget / cellWorkers
-	if share < 1 {
-		share = 1
-	}
-	if simWorkers < share {
-		return simWorkers
-	}
-	return share
-}
-
 func runCells(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

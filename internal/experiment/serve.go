@@ -44,12 +44,10 @@ func ContentKey(g *taskgraph.Graph, arrays []*prog.Array, align int64) (string, 
 // geometry, latencies, replacement, indexing, write policy, bus model,
 // engine selection, plus the heterogeneity extension — speed classes,
 // topology, hop penalty), the policy parameters (quantum, seed, affinity
-// family), and the layout alignment. Workers, SimWorkers, and
-// RecordTimeline are deliberately excluded: they change how fast a
-// result is computed and what side channels are captured, never the
-// result cells themselves (the parallel engine is bit-identical to the
-// sequential one), so cached response bytes stay valid across any
-// parallelism setting.
+// family), and the layout alignment. Workers and RecordTimeline are
+// deliberately excluded: they change how fast a result is computed and
+// what side channels are captured, never the result cells themselves,
+// so cached response bytes stay valid across any parallelism setting.
 func ConfigDigest(cfg Config) string {
 	m := cfg.Machine
 	h := sha256.New()

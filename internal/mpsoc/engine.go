@@ -109,34 +109,30 @@ type Result struct {
 }
 
 // procCursor is one process's playback state under whichever engine the
-// runner was built for: exactly one field is set.
+// runner was built for: exactly one of flat and rle is set. running
+// marks a process whose segment is in flight on some core, so Run can
+// refuse a dispatcher that hands it to a second core without a second
+// lookup on the dispatch path.
 type procCursor struct {
-	flat *trace.Cursor
-	rle  *trace.RLECursor
+	flat    *trace.Cursor
+	rle     *trace.RLECursor
+	running bool
 }
 
-func (pc procCursor) done() bool {
+func (pc *procCursor) done() bool {
 	if pc.flat != nil {
 		return pc.flat.Done()
 	}
 	return pc.rle.Done()
 }
 
-func (pc procCursor) reset() {
+func (pc *procCursor) reset() {
 	if pc.flat != nil {
 		pc.flat.Reset()
 	} else {
 		pc.rle.Reset()
 	}
-}
-
-// remaining returns the number of accesses left in the cursor's stream
-// (the parallel engine's lookahead bound is derived from it).
-func (pc procCursor) remaining() int64 {
-	if pc.flat != nil {
-		return pc.flat.Remaining()
-	}
-	return pc.rle.Remaining()
+	pc.running = false
 }
 
 type evKind int
@@ -168,7 +164,7 @@ type event struct {
 type Runner struct {
 	g       *taskgraph.Graph
 	cfg     Config
-	cursors map[taskgraph.ProcID]procCursor
+	cursors map[taskgraph.ProcID]*procCursor
 	caches  []*cache.Cache
 	runs    int
 	// Per-core cost tables from the machine model (see machine.go):
@@ -202,9 +198,9 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 	g.Freeze()
 
 	gen := trace.NewGenerator(am)
-	cursors := make(map[taskgraph.ProcID]procCursor, g.Len())
+	cursors := make(map[taskgraph.ProcID]*procCursor, g.Len())
 	for _, p := range g.Processes() {
-		var pc procCursor
+		pc := &procCursor{}
 		if cfg.FlatStreams {
 			cur, err := gen.NewCursor(p.Spec)
 			if err != nil {
@@ -257,7 +253,9 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 }
 
 // resetForRun rewinds every cursor and cache before a repeat run on a
-// reused Runner (the first run starts from construction state).
+// reused Runner (the first run starts from construction state). A run
+// that failed mid-way leaves in-flight marks behind; the rewind clears
+// them with the rest of the cursor state.
 func (r *Runner) resetForRun() {
 	if r.runs > 0 {
 		for _, pc := range r.cursors {
@@ -310,6 +308,9 @@ func (r *Runner) Run(d Dispatcher) (*Result, error) {
 		events.Push(0, event{kind: evFree, core: c})
 	}
 	idle := make([]bool, cfg.Cores)
+	// onCore[c] is the cursor of the segment in flight on core c; its
+	// completion event clears the running mark through it.
+	onCore := make([]*procCursor, cfg.Cores)
 	idleCount := 0
 	busyCores := 0
 	remaining := g.Len()
@@ -383,6 +384,7 @@ func (r *Runner) Run(d Dispatcher) (*Result, error) {
 		switch ev.kind {
 		case evDone:
 			busyCores--
+			onCore[ev.core].running = false
 			if observer != nil {
 				observer.SegmentDone(ev.id, ev.core, now, ev.completed)
 			}
@@ -432,6 +434,9 @@ func (r *Runner) Run(d Dispatcher) (*Result, error) {
 			if !exists {
 				return nil, fmt.Errorf("mpsoc: policy %s picked unknown process %v", d.Name(), id)
 			}
+			if pc.running {
+				return nil, fmt.Errorf("mpsoc: policy %s picked in-flight process %v", d.Name(), id)
+			}
 			if pc.done() {
 				return nil, fmt.Errorf("mpsoc: policy %s re-picked completed process %v", d.Name(), id)
 			}
@@ -443,6 +448,8 @@ func (r *Runner) Run(d Dispatcher) (*Result, error) {
 				penalty = int64(float64(penalty) * (1 + cfg.BusFactor*float64(busyCores)))
 			}
 			busyCores++
+			pc.running = true
+			onCore[ev.core] = pc
 			var cycles int64
 			var completed bool
 			if pc.flat != nil {

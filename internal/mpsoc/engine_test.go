@@ -1,13 +1,16 @@
 package mpsoc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"locsched/internal/cache"
 	"locsched/internal/layout"
 	"locsched/internal/prog"
+	"locsched/internal/sched"
 	"locsched/internal/taskgraph"
+	"locsched/internal/workload"
 )
 
 // fifoDispatcher is a minimal run-to-completion global-FIFO policy used to
@@ -254,6 +257,82 @@ func TestInvalidPicksRejected(t *testing.T) {
 	bogus.queue = []taskgraph.ProcID{{Task: 7, Idx: 7}}
 	if _, err := Run(g, bogus, am, testConfig(1)); err == nil {
 		t.Error("picking an unknown process should fail")
+	}
+}
+
+// doublePickFIFO is a de-duplicating global FIFO with quantum 50 that
+// breaks the Dispatcher contract exactly once: the first time core 1
+// asks for work after core 0 was handed a process, core 1 is offered
+// that same process again while its segment is still in flight.
+type doublePickFIFO struct {
+	queue   []taskgraph.ProcID
+	queued  map[taskgraph.ProcID]bool
+	onCore0 taskgraph.ProcID
+	have0   bool
+	offered bool
+}
+
+func (f *doublePickFIFO) Name() string                  { return "double-pick-fifo" }
+func (f *doublePickFIFO) Ready(id taskgraph.ProcID)     { f.push(id) }
+func (f *doublePickFIFO) Preempted(id taskgraph.ProcID) { f.push(id) }
+func (f *doublePickFIFO) push(id taskgraph.ProcID) {
+	if !f.queued[id] {
+		f.queued[id] = true
+		f.queue = append(f.queue, id)
+	}
+}
+func (f *doublePickFIFO) Pick(core int, now int64) (taskgraph.ProcID, int64, bool) {
+	if core == 1 && f.have0 && !f.offered {
+		f.offered = true
+		return f.onCore0, 50, true
+	}
+	if len(f.queue) == 0 {
+		return taskgraph.ProcID{}, 0, false
+	}
+	id := f.queue[0]
+	f.queue = f.queue[1:]
+	delete(f.queued, id)
+	if core == 0 {
+		f.onCore0, f.have0 = id, true
+	}
+	return id, 50, true
+}
+
+// TestRunRejectsInFlightPick: handing a process that is running on one
+// core to a second core is a contract violation Run reports, instead of
+// simulating two segments over one cursor. The failed run must also
+// leave the Runner reusable.
+func TestRunRejectsInFlightPick(t *testing.T) {
+	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	base, err := layout.Pack(cfg.Cache.BlockSize, app.Arrays...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(app.Graph, base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(&doublePickFIFO{queued: make(map[taskgraph.ProcID]bool)})
+	if err == nil {
+		t.Fatalf("want in-flight pick error, run succeeded in %d cycles", res.Cycles)
+	}
+	if !strings.Contains(err.Error(), "in-flight") {
+		t.Fatalf("want in-flight pick error, got %v", err)
+	}
+	got, err := r.Run(sched.MustRoundRobin(193))
+	if err != nil {
+		t.Fatalf("run after rejected pick: %v", err)
+	}
+	want, err := Run(app.Graph, sched.MustRoundRobin(193), base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("reused runner diverges after rejected pick:\nwant: %+v\ngot:  %+v", want, got)
 	}
 }
 

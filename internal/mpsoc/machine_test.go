@@ -191,7 +191,7 @@ func TestCoreCostTables(t *testing.T) {
 // topology with a zero hop cost, any hop cost on a bus — must produce
 // results bit-identical (reflect.DeepEqual on the full Result) to the
 // zero-value Machine, across applications, both address maps, every
-// dispatcher family, both sequential engines, and the parallel engine.
+// dispatcher family, and both stream engines (strided-RLE and flat).
 func TestHomogeneousMachineEquivalence(t *testing.T) {
 	variants := map[string]Machine{
 		"spelled-uniform": {SpeedClasses: "1,1,1"},
@@ -230,17 +230,6 @@ func TestHomogeneousMachineEquivalence(t *testing.T) {
 						}
 						if !reflect.DeepEqual(base, flat) {
 							t.Errorf("%s (flat): diverges from zero-value Machine", vName)
-						}
-						r, err := NewRunner(app.Graph, am, vcfg)
-						if err != nil {
-							t.Fatalf("%s (parallel): %v", vName, err)
-						}
-						par, err := r.RunParallel(mkDisp(), 3)
-						if err != nil {
-							t.Fatalf("%s (parallel): %v", vName, err)
-						}
-						if !reflect.DeepEqual(base, par) {
-							t.Errorf("%s (parallel): diverges from zero-value Machine", vName)
 						}
 					}
 				})

@@ -3,34 +3,21 @@ package mpsoc
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"strings"
+	"sync"
 	"testing"
 
-	"locsched/internal/layout"
-	"locsched/internal/sched"
-	"locsched/internal/taskgraph"
 	"locsched/internal/workload"
 )
 
-// parallelWorkerCounts are the pool sizes every cell is checked under:
-// 1 exercises the asynchronous dispatch/join machinery with no real
-// concurrency, 4 is the CI multicore shape, NumCPU is whatever this
-// host has (which may be 1 — the count still differs in queue depth).
-func parallelWorkerCounts() []int {
-	counts := []int{1, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// TestParallelEngineMatchesSequential: for every Table 1 application
-// under both address maps, every machine variant (including a
-// timeline-recording one: segment order must match, not just totals),
-// and every dispatcher — run-to-completion, mid-iteration preemptive,
-// and the full ARR affinity machinery — the parallel engine produces
-// results bit-identical to the sequential oracle at every worker count.
+// TestParallelEngineMatchesSequential: the engine run in parallel the
+// way the experiment layer's cell pool (-par) runs it — a reused Runner
+// and a freshly built one simulating the same cell on two goroutines,
+// both playing back the process-wide shared compiled streams — produces
+// results bit-identical to a sequential run. It covers every Table 1
+// application under both address maps, every machine variant (including
+// a timeline-recording one: segment order must match, not just totals),
+// and every dispatcher: run-to-completion, mid-iteration preemptive, and
+// the full ARR affinity machinery.
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
@@ -51,153 +38,35 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 						}
 						seq, err := r.Run(mkDisp())
 						if err != nil {
-							t.Fatalf("sequential engine: %v", err)
+							t.Fatalf("sequential run: %v", err)
 						}
-						for _, w := range parallelWorkerCounts() {
-							par, err := r.RunParallel(mkDisp(), w)
-							if err != nil {
-								t.Fatalf("parallel engine (workers=%d): %v", w, err)
+						var (
+							wg       sync.WaitGroup
+							got      [2]*Result
+							errs     [2]error
+							dispatch = [2]Dispatcher{mkDisp(), mkDisp()}
+						)
+						wg.Add(2)
+						go func() {
+							defer wg.Done()
+							got[0], errs[0] = r.Run(dispatch[0])
+						}()
+						go func() {
+							defer wg.Done()
+							got[1], errs[1] = Run(app.Graph, dispatch[1], am, cfg)
+						}()
+						wg.Wait()
+						for i, name := range []string{"reused runner", "fresh runner"} {
+							if errs[i] != nil {
+								t.Fatalf("%s: %v", name, errs[i])
 							}
-							if !reflect.DeepEqual(seq, par) {
-								t.Errorf("workers=%d: results diverge:\nseq: %+v\npar: %+v", w, seq, par)
+							if !reflect.DeepEqual(seq, got[i]) {
+								t.Errorf("%s: results diverge:\nseq: %+v\ngot: %+v", name, seq, got[i])
 							}
 						}
 					})
 				}
 			}
 		}
-	}
-}
-
-// TestParallelEngineFlatStreams: the parallel engine's flat-cursor arm
-// (runSegment on worker goroutines) is compared against the sequential
-// flat engine — the RLE differential suite already ties flat to RLE, so
-// this closes the square.
-func TestParallelEngineFlatStreams(t *testing.T) {
-	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.FlatStreams = true
-	base, err := layout.Pack(cfg.Cache.BlockSize, app.Arrays...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(app.Graph, base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := r.Run(sched.MustRoundRobin(193))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parallelWorkerCounts() {
-		par, err := r.RunParallel(sched.MustRoundRobin(193), w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("workers=%d: results diverge:\nseq: %+v\npar: %+v", w, seq, par)
-		}
-	}
-}
-
-// TestParallelEngineRunnerReuse: alternating sequential and parallel
-// runs on one Runner (the repeated-cell path through the runner pool)
-// stays bit-identical — the reset machinery is shared and the parallel
-// engine must leave no worker writes behind after it returns.
-func TestParallelEngineRunnerReuse(t *testing.T) {
-	app, err := workload.Build("Track", 0, workload.Params{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	base, err := layout.Pack(cfg.Cache.BlockSize, app.Arrays...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(app.Graph, base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *Result
-	for i := 0; i < 4; i++ {
-		var res *Result
-		if i%2 == 0 {
-			res, err = r.RunParallel(sched.MustRoundRobin(193), 2)
-		} else {
-			res, err = r.Run(sched.MustRoundRobin(193))
-		}
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if first == nil {
-			first = res
-		} else if !reflect.DeepEqual(first, res) {
-			t.Errorf("run %d diverges from run 0:\nfirst: %+v\nthis:  %+v", i, first, res)
-		}
-	}
-}
-
-// TestParallelEngineWorkerClamp: worker counts beyond the core count are
-// clamped (a segment per busy core is the maximum possible concurrency)
-// and workers <= 0 is the sequential oracle itself.
-func TestParallelEngineWorkerClamp(t *testing.T) {
-	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	base, err := layout.Pack(cfg.Cache.BlockSize, app.Arrays...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(app.Graph, base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := r.RunParallel(sched.NewRandom(7), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	over, err := r.RunParallel(sched.NewRandom(7), 10*cfg.Cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, over) {
-		t.Errorf("oversized pool diverges:\nseq:  %+v\nover: %+v", seq, over)
-	}
-}
-
-// stuckDispatcher violates the Dispatcher contract by offering the same
-// process to every core: the parallel engine must refuse (the process
-// is in flight) instead of racing two workers on one cursor.
-type stuckDispatcher struct{ id taskgraph.ProcID }
-
-func (s *stuckDispatcher) Name() string                  { return "stuck" }
-func (s *stuckDispatcher) Ready(id taskgraph.ProcID)     { s.id = id }
-func (s *stuckDispatcher) Preempted(id taskgraph.ProcID) {}
-func (s *stuckDispatcher) Pick(core int, now int64) (taskgraph.ProcID, int64, bool) {
-	return s.id, 0, true
-}
-
-func TestParallelEngineRejectsInFlightPick(t *testing.T) {
-	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	base, err := layout.Pack(cfg.Cache.BlockSize, app.Arrays...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(app.Graph, base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = r.RunParallel(&stuckDispatcher{}, 2)
-	if err == nil || !strings.Contains(err.Error(), "in-flight") {
-		t.Fatalf("want in-flight pick error, got %v", err)
 	}
 }

@@ -26,9 +26,7 @@ import (
 // point lands exactly where the flat engine puts it.
 //
 // blockScratch and writeScratch are caller-owned scratch sized to at
-// least the stream's reference count: the sequential engine passes the
-// Runner's shared buffers, the parallel engine passes per-worker ones so
-// concurrent segment executions never share mutable state.
+// least the stream's reference count; Run passes the Runner's buffers.
 func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, blockScratch []int64, writeScratch []bool) (cycles int64, completed bool) {
 	compute := cur.Spec().ComputePerIter
 	s := cur.Stream()

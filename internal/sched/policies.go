@@ -231,12 +231,6 @@ func NewStatic(name string, a *Assignment) *Static {
 	return NewStaticMode(name, a, StealWhenIdle)
 }
 
-// NewStaticStrict wraps an assignment as a strictly in-order dispatcher
-// (each core waits for its exact next entry).
-func NewStaticStrict(name string, a *Assignment) *Static {
-	return NewStaticMode(name, a, StrictOrder)
-}
-
 // NewStaticMode wraps an assignment as a dispatcher with an explicit
 // runtime mode.
 func NewStaticMode(name string, a *Assignment, mode StaticMode) *Static {

@@ -54,12 +54,6 @@ type Config struct {
 	// executed job: intra-request parallelism. The default 1 keeps each
 	// cell sequential and lets the daemon parallelize across requests.
 	ExpWorkers int
-	// SimWorkers is the experiment.Config.SimWorkers value given to each
-	// executed job: intra-run parallel-engine workers. It is cache-neutral
-	// (the parallel engine is bit-identical to the sequential one, and
-	// ConfigDigest excludes it), so changing it never invalidates stored
-	// response bytes. The default 0 runs the sequential engine.
-	SimWorkers int
 	// CacheEntries bounds the result cache by entry count.
 	CacheEntries int
 	// CacheBytes bounds the result cache by total stored body bytes.
@@ -144,9 +138,6 @@ func (c Config) Validate() error {
 	}
 	if c.ExpWorkers < 0 {
 		return fmt.Errorf("server: experiment workers %d must be non-negative", c.ExpWorkers)
-	}
-	if c.SimWorkers < 0 {
-		return fmt.Errorf("server: sim workers %d must be non-negative", c.SimWorkers)
 	}
 	if c.CacheEntries <= 0 || c.CacheBytes <= 0 {
 		return fmt.Errorf("server: cache bounds (%d entries, %d bytes) must be positive", c.CacheEntries, c.CacheBytes)

@@ -317,7 +317,6 @@ func newExperimentPlanner(cfg Config) *experimentPlanner {
 		workers = 1
 	}
 	base.Workers = workers
-	base.SimWorkers = cfg.SimWorkers
 	return &experimentPlanner{
 		base:       base,
 		expWorkers: workers,
