@@ -155,8 +155,9 @@ func BenchmarkFigure7XL(b *testing.B) {
 // core ladder per policy SKU (RS/RRS/LS/LSM/ARR) at one experiment
 // worker. A warm-up run outside the timer fills the analysis caches, so
 // the reported time is one warm cell's cost, mostly simulation. CI's
-// bench smoke runs the 128c rung (the 512/1024c rungs match its XL skip
-// filter); the multicore job times the 512c point end to end.
+// bench smoke runs the 128c and 512c rungs (the 1024c rung matches its
+// skip filter); the multicore job times the 512c and 1024c points end
+// to end.
 func BenchmarkXLLadderByPolicy(b *testing.B) {
 	points := []locsched.XLPoint{
 		{Cores: 128, Tasks: 32}, {Cores: 512, Tasks: 128}, {Cores: 1024, Tasks: 256},

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -50,7 +51,8 @@ type ConflictMatrix struct {
 }
 
 // Conflicts builds the conflict matrix from co-access groups under the
-// address map and cache geometry.
+// address map and cache geometry. The map must place every array with
+// an AddrFormula, as Packed and Relayouted do.
 func Conflicts(groups []Footprints, am AddressMap, geom cache.Geometry) (*ConflictMatrix, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
@@ -78,38 +80,15 @@ func Conflicts(groups []Footprints, am AddressMap, geom cache.Geometry) (*Confli
 		m.vals[i] = make([]int64, len(arrays))
 	}
 
-	numSets := geom.NumSets()
-	w := int64(geom.Assoc)
-	// Per-set block counts are recomputed per (group, array); memoize by
-	// (array, footprint) since groups share data-space sets.
-	type key struct {
-		arr *prog.Array
-		set *eset.Set
-	}
-	memo := make(map[key][]int64)
-	countsOf := func(a *prog.Array, fp *eset.Set) []int64 {
-		k := key{a, fp}
-		if c, ok := memo[k]; ok {
-			return c
-		}
-		counts := make([]int64, numSets)
-		blocks := make(map[int64]bool)
-		fp.Elements(func(e int64) bool {
-			addr := am.Addr(a, e)
-			first := geom.BlockOf(addr)
-			last := geom.BlockOf(addr + a.Elem - 1)
-			for blk := first; blk <= last; blk++ {
-				if !blocks[blk] {
-					blocks[blk] = true
-					counts[blk%numSets]++
-				}
-			}
-			return true
-		})
-		memo[k] = counts
-		return counts
+	formulas, err := compileAll(am, arrays)
+	if err != nil {
+		return nil, err
 	}
 
+	numSets := geom.NumSets()
+	w := int64(geom.Assoc)
+	// Groups share data-space sets, so per-set block counts are memoized.
+	depths := newDepthMemo(geom)
 	for _, g := range groups {
 		if len(g) < 2 {
 			continue
@@ -121,7 +100,7 @@ func Conflicts(groups []Footprints, am AddressMap, geom cache.Geometry) (*Confli
 		sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
 		perArr := make([][]int64, len(members))
 		for i, a := range members {
-			perArr[i] = countsOf(a, g[a])
+			perArr[i] = depths.of(g[a], formulas[m.pos[a]])
 		}
 		for s := int64(0); s < numSets; s++ {
 			var total int64
@@ -227,6 +206,91 @@ func (m *ConflictMatrix) String() string {
 	return b.String()
 }
 
+// compileAll resolves the address formula of every array under am. The
+// depth computations below need closed-form, strictly increasing
+// addressing, so an array absent from am, or a map without formulas, is
+// an error.
+func compileAll(am AddressMap, arrays []*prog.Array) ([]AddrFormula, error) {
+	ac, ok := am.(AddrCompiler)
+	if !ok {
+		return nil, fmt.Errorf("layout: address map %T has no per-array formulas", am)
+	}
+	known := make(map[*prog.Array]bool)
+	for _, a := range am.Arrays() {
+		known[a] = true
+	}
+	out := make([]AddrFormula, len(arrays))
+	for i, a := range arrays {
+		if !known[a] {
+			return nil, fmt.Errorf("layout: array %s not present in base layout", a.Name)
+		}
+		f, ok := ac.CompileAddr(a)
+		if !ok {
+			return nil, fmt.Errorf("layout: array %s has no address formula", a.Name)
+		}
+		out[i] = f
+	}
+	return out, nil
+}
+
+// setDepths counts, for every cache set, the distinct blocks of a
+// footprint placed by f that map to the set: the footprint's depth per
+// set. Both formula kinds give addresses that strictly increase with the
+// linear index, and Elements yields indices in ascending order, so the
+// blocks an element spans never precede the last block already counted;
+// remembering that one block deduplicates exactly.
+func setDepths(fp *eset.Set, f AddrFormula, geom cache.Geometry) []int64 {
+	numSets := geom.NumSets()
+	depth := make([]int64, numSets)
+	last := int64(math.MinInt64)
+	fp.Elements(func(e int64) bool {
+		addr := f.Addr(e)
+		first := geom.BlockOf(addr)
+		end := geom.BlockOf(addr + f.Elem - 1)
+		if first <= last {
+			first = last + 1
+		}
+		for blk := first; blk <= end; blk++ {
+			depth[blk%numSets]++
+		}
+		last = end
+		return true
+	})
+	return depth
+}
+
+// depthMemo memoizes setDepths by footprint and placement. The formula's
+// base is reduced modulo the cache page size: a page spans every set
+// exactly once (PageSize = NumSets × BlockSize), so moving a region by
+// whole pages — which is all a later re-layout does to an earlier
+// re-laid array, whose region always starts on a page boundary — leaves
+// its depths unchanged.
+type depthMemo struct {
+	geom cache.Geometry
+	page int64
+	m    map[depthKey][]int64
+}
+
+type depthKey struct {
+	fp *eset.Set
+	f  AddrFormula
+}
+
+func newDepthMemo(geom cache.Geometry) *depthMemo {
+	return &depthMemo{geom: geom, page: geom.PageSize(), m: make(map[depthKey][]int64)}
+}
+
+func (d *depthMemo) of(fp *eset.Set, f AddrFormula) []int64 {
+	f.Base = (f.Base%d.page + d.page) % d.page
+	k := depthKey{fp, f}
+	if v, ok := d.m[k]; ok {
+		return v
+	}
+	v := setDepths(fp, f, d.geom)
+	d.m[k] = v
+	return v
+}
+
 // VerifyGroup describes one process for pressure verification: the
 // per-array union footprints plus how many references the process issues
 // to each array (the number of concurrent access streams).
@@ -235,65 +299,191 @@ type VerifyGroup struct {
 	Refs map[*prog.Array]int
 }
 
-// Pressure measures the static lockstep-thrash potential of a layout.
-// For every process and cache set, the number of simultaneously live
-// blocks is estimated as Σ_arrays min(refs to the array, the array's
-// footprint depth in the set): each reference is a stream contributing
-// one live block, and a single stream walking a deep array revisits a
-// set only after a full stride (no thrash on its own). Pressure is the
-// excess of that live estimate over the associativity, summed. Several
-// bands of one array squeezed into the same sets by a re-layout are
-// visible here whenever several references walk them in lockstep — the
-// damage mode the pairwise matrix cannot see.
-func Pressure(groups []VerifyGroup, am AddressMap, geom cache.Geometry) (int64, error) {
-	if err := geom.Validate(); err != nil {
-		return 0, err
+// Pressure, the quantity SelectRelayoutVerified minimizes, measures the
+// static lockstep-thrash potential of a layout. For every process and
+// cache set, the number of simultaneously live blocks is estimated as
+// Σ_arrays min(refs to the array, the array's footprint depth in the
+// set): each reference is a stream contributing one live block, and a
+// single stream walking a deep array revisits a set only after a full
+// stride (no thrash on its own). Pressure is the excess of that live
+// estimate over the associativity, summed. Several bands of one array
+// squeezed into the same sets by a re-layout are visible here whenever
+// several references walk them in lockstep — the damage mode the
+// pairwise matrix cannot see.
+//
+// pressure keeps that sum incrementally: per group the live vector and
+// its excess, and per re-layout candidate array the groups it appears
+// in, so scoring a bank change touches only those groups.
+type pressure struct {
+	w       int64
+	depths  *depthMemo
+	live    [][]int64     // per group, per set
+	excess  []int64       // per group
+	total   int64         // Σ excess
+	place   []AddrFormula // current placement per candidate array
+	members [][]member    // per candidate array, its groups
+	seen    []int         // per group, the stamp of the last scoring that touched it
+	stamp   int
+	scratch []int64 // a trial live vector
+}
+
+// member is one candidate array's footprint and stream count in one
+// verify group.
+type member struct {
+	group   int
+	fp      *eset.Set
+	streams int64
+}
+
+// move is one candidate array's new placement.
+type move struct {
+	arr int
+	f   AddrFormula
+}
+
+// newPressure computes the pressure of groups under base, tracking the
+// given candidate arrays for later moves.
+func newPressure(groups []VerifyGroup, candidates []*prog.Array, base AddressMap, geom cache.Geometry) (*pressure, error) {
+	// Every array the groups reference starts at its base placement;
+	// only the candidates (the first len(candidates) entries) move.
+	arrays := append([]*prog.Array(nil), candidates...)
+	idx := make(map[*prog.Array]int, len(candidates))
+	for i, a := range candidates {
+		idx[a] = i
 	}
-	numSets := geom.NumSets()
-	w := int64(geom.Assoc)
-	var pressure int64
-	live := make([]int64, numSets)
-	depth := make([]int64, numSets)
 	for _, g := range groups {
-		for i := range live {
-			live[i] = 0
-		}
-		for a, fp := range g.FP {
-			for i := range depth {
-				depth[i] = 0
+		for a := range g.FP {
+			if _, ok := idx[a]; !ok {
+				idx[a] = len(arrays)
+				arrays = append(arrays, a)
 			}
-			blocks := make(map[int64]bool)
-			fp.Elements(func(e int64) bool {
-				addr := am.Addr(a, e)
-				first := geom.BlockOf(addr)
-				last := geom.BlockOf(addr + a.Elem - 1)
-				for blk := first; blk <= last; blk++ {
-					if !blocks[blk] {
-						blocks[blk] = true
-						depth[blk%numSets]++
-					}
-				}
-				return true
-			})
+		}
+	}
+	place, err := compileAll(base, arrays)
+	if err != nil {
+		return nil, err
+	}
+
+	p := &pressure{
+		w:       int64(geom.Assoc),
+		depths:  newDepthMemo(geom),
+		live:    make([][]int64, len(groups)),
+		excess:  make([]int64, len(groups)),
+		place:   place[:len(candidates)],
+		members: make([][]member, len(candidates)),
+		seen:    make([]int, len(groups)),
+		scratch: make([]int64, geom.NumSets()),
+	}
+	for gi, g := range groups {
+		live := make([]int64, geom.NumSets())
+		for a, fp := range g.FP {
 			streams := int64(g.Refs[a])
 			if streams <= 0 {
 				streams = 1
 			}
-			for s := range depth {
-				d := depth[s]
-				if d > streams {
-					d = streams
-				}
-				live[s] += d
+			i := idx[a]
+			addMin(live, p.depths.of(fp, place[i]), streams, 1)
+			if i < len(candidates) {
+				p.members[i] = append(p.members[i], member{group: gi, fp: fp, streams: streams})
 			}
 		}
-		for _, n := range live {
-			if n > w {
-				pressure += n - w
+		p.live[gi] = live
+		p.excess[gi] = p.excessOf(live)
+		p.total += p.excess[gi]
+	}
+	return p, nil
+}
+
+// addMin adds sign × min(streams, depth[s]) to live[s] for every set.
+func addMin(live, depth []int64, streams, sign int64) {
+	for s, d := range depth {
+		if d > streams {
+			d = streams
+		}
+		live[s] += sign * d
+	}
+}
+
+func (p *pressure) excessOf(live []int64) int64 {
+	var e int64
+	for _, n := range live {
+		if n > p.w {
+			e += n - p.w
+		}
+	}
+	return e
+}
+
+// score returns the pressure after applying moves, touching only the
+// groups the moved arrays appear in. When commit is set the moves are
+// kept.
+func (p *pressure) score(moves []move, commit bool) int64 {
+	p.stamp++
+	total := p.total
+	for mi, mv := range moves {
+		for _, mb := range p.members[mv.arr] {
+			if p.seen[mb.group] == p.stamp {
+				continue // already rescored with an earlier move
+			}
+			p.seen[mb.group] = p.stamp
+			live := p.live[mb.group]
+			if !commit {
+				live = append(p.scratch[:0], live...)
+			}
+			for _, other := range moves[mi:] {
+				p.shift(live, other, mb.group)
+			}
+			e := p.excessOf(live)
+			total += e - p.excess[mb.group]
+			if commit {
+				p.excess[mb.group] = e
 			}
 		}
 	}
-	return pressure, nil
+	if commit {
+		for _, mv := range moves {
+			p.place[mv.arr] = mv.f
+		}
+		p.total = total
+	}
+	return total
+}
+
+// shift replaces mv's array's contribution to group g's live vector with
+// its contribution under the new placement (a no-op when the array is
+// not in g).
+func (p *pressure) shift(live []int64, mv move, g int) {
+	for _, mb := range p.members[mv.arr] {
+		if mb.group != g {
+			continue
+		}
+		addMin(live, p.depths.of(mb.fp, p.place[mv.arr]), mb.streams, -1)
+		addMin(live, p.depths.of(mb.fp, mv.f), mb.streams, 1)
+		return
+	}
+}
+
+// pair is one conflicting array pair of a matrix, by position.
+type pair struct {
+	i, j int
+	w    int64
+}
+
+// pairsAbove lists the pairs weighing more than threshold in Figure 5's
+// selection order: heaviest first, ties in row-major (i, j) order — the
+// order in which repeatedly taking the first strict maximum of the
+// remaining pairs visits them.
+func (m *ConflictMatrix) pairsAbove(threshold int64) []pair {
+	var ps []pair
+	for i, row := range m.vals {
+		for j := i + 1; j < len(row); j++ {
+			if row[j] > threshold {
+				ps = append(ps, pair{i, j, row[j]})
+			}
+		}
+	}
+	sort.SliceStable(ps, func(a, b int) bool { return ps[a].w > ps[b].w })
+	return ps
 }
 
 // SelectRelayoutVerified runs Figure 5's greedy pair selection with a
@@ -303,133 +493,69 @@ func Pressure(groups []VerifyGroup, am AddressMap, geom cache.Geometry) (int64, 
 // within its half of the cache, which the paper's unverified greedy can
 // turn into new conflicts.
 //
+// The greedy takes the pairs above threshold heaviest first and assigns
+// the two arrays opposite banks (0 and C/2); an array already assigned
+// keeps its bank and its partner takes the other one, and a pair whose
+// arrays are both assigned is skipped (an earlier, heavier conflict fixed
+// their layouts). Assignments only grow, so one walk over the pairs in
+// weight order visits them exactly as rescanning for the maximum would.
+//
 // The verification groups should be the single-process co-access groups:
 // arrays referenced in lockstep by one process thrash on every iteration
 // when they overflow a set, which is the damage mode worth vetoing. The
 // selection matrix m may additionally include successive-pair groups,
 // whose conflicts are bounded one-time refills rather than per-iteration
-// thrash. Returns the accepted banks and the before/after pressure.
+// thrash. Every array of m and of the groups must be in base with an
+// AddrFormula. Returns the accepted banks and the before/after pressure.
 func SelectRelayoutVerified(verifyGroups []VerifyGroup, m *ConflictMatrix, base AddressMap,
 	threshold int64, geom cache.Geometry) (map[*prog.Array]int64, int64, int64, error) {
 
-	halfC := geom.PageSize() / 2
-	banks := make(map[*prog.Array]int64)
-	before, err := Pressure(verifyGroups, base, geom)
+	if err := geom.Validate(); err != nil {
+		return nil, 0, 0, err
+	}
+	c := geom.PageSize()
+	if c%2 != 0 {
+		return nil, 0, 0, fmt.Errorf("layout: cache page size %d must be positive and even", c)
+	}
+	halfC := c / 2
+	p, err := newPressure(verifyGroups, m.arrays, base, geom)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	cur := before
-	n := len(m.arrays)
-	vals := make([][]int64, n)
-	for i := range vals {
-		vals[i] = append([]int64(nil), m.vals[i]...)
+	before := p.total
+	// Re-laid regions start on page boundaries, so the placement of an
+	// array in bank b is this formula up to whole pages.
+	relaid := func(i int, bank int64) move {
+		return move{i, AddrFormula{Elem: m.arrays[i].Elem, Page: c, Bank: bank}}
 	}
-	for {
-		bi, bj, best := -1, -1, threshold
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				_, iDone := banks[m.arrays[i]]
-				_, jDone := banks[m.arrays[j]]
-				if iDone && jDone {
-					continue
-				}
-				if vals[i][j] > best {
-					bi, bj, best = i, j, vals[i][j]
-				}
-			}
-		}
-		if bi < 0 {
-			return banks, before, cur, nil
-		}
-		vals[bi][bj] = 0
-		vals[bj][bi] = 0
-		ai, aj := m.arrays[bi], m.arrays[bj]
-
-		candidate := make(map[*prog.Array]int64, len(banks)+2)
-		for a, b := range banks {
-			candidate[a] = b
-		}
-		_, iDone := banks[ai]
-		_, jDone := banks[aj]
+	bank := make([]int64, len(m.arrays))
+	assigned := make([]bool, len(m.arrays))
+	moves := make([]move, 0, 2)
+	for _, pr := range m.pairsAbove(threshold) {
+		i, j := pr.i, pr.j
 		switch {
-		case iDone && !jDone:
-			candidate[aj] = halfC - banks[ai]
-		case jDone && !iDone:
-			candidate[ai] = halfC - banks[aj]
-		default:
-			candidate[ai] = 0
-			candidate[aj] = halfC
-		}
-		rl, err := ApplyRelayout(base, geom, candidate)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		p, err := Pressure(verifyGroups, rl, geom)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if p < cur {
-			banks = candidate
-			cur = p
-		}
-	}
-}
-
-// RelevantFunc optionally restricts which pairs SelectRelayout may pick.
-// With the co-access construction above the matrix is already restricted
-// to Figure 5's eligible pairs, so nil is the common choice.
-type RelevantFunc func(a, b *prog.Array) bool
-
-// SelectRelayout runs the greedy algorithm of Figure 5: repeatedly pick
-// the array pair with the maximum conflict weight above the threshold and
-// assign the two arrays to opposite banks (0 and C/2). Arrays already
-// assigned keep their bank; a pair in which both arrays are already
-// assigned is skipped (their layouts were fixed by an earlier, heavier
-// conflict). Returns the bank assignment to feed ApplyRelayout.
-func SelectRelayout(m *ConflictMatrix, relevant RelevantFunc, threshold int64, geom cache.Geometry) map[*prog.Array]int64 {
-	halfC := geom.PageSize() / 2
-	banks := make(map[*prog.Array]int64)
-	n := len(m.arrays)
-	// Work on a copy so the caller's matrix is untouched.
-	vals := make([][]int64, n)
-	for i := range vals {
-		vals[i] = append([]int64(nil), m.vals[i]...)
-	}
-	for {
-		// Select the maximal remaining pair where at least one array is
-		// not yet re-laid-out.
-		bi, bj, best := -1, -1, threshold
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				_, iDone := banks[m.arrays[i]]
-				_, jDone := banks[m.arrays[j]]
-				if iDone && jDone {
-					continue
-				}
-				if vals[i][j] > best {
-					bi, bj, best = i, j, vals[i][j]
-				}
-			}
-		}
-		if bi < 0 {
-			return banks
-		}
-		vals[bi][bj] = 0
-		vals[bj][bi] = 0
-		ai, aj := m.arrays[bi], m.arrays[bj]
-		if relevant != nil && !relevant(ai, aj) {
+		case assigned[i] && assigned[j]:
 			continue
-		}
-		_, iDone := banks[ai]
-		_, jDone := banks[aj]
-		switch {
-		case iDone && !jDone:
-			banks[aj] = halfC - banks[ai] // the opposite bank
-		case jDone && !iDone:
-			banks[ai] = halfC - banks[aj]
+		case assigned[i]:
+			moves = append(moves[:0], relaid(j, halfC-bank[i]))
+		case assigned[j]:
+			moves = append(moves[:0], relaid(i, halfC-bank[j]))
 		default:
-			banks[ai] = 0
-			banks[aj] = halfC
+			moves = append(moves[:0], relaid(i, 0), relaid(j, halfC))
+		}
+		if p.score(moves, false) < p.total {
+			p.score(moves, true)
+			for _, mv := range moves {
+				bank[mv.arr] = mv.f.Bank
+				assigned[mv.arr] = true
+			}
 		}
 	}
+	banks := make(map[*prog.Array]int64)
+	for i, a := range m.arrays {
+		if assigned[i] {
+			banks[a] = bank[i]
+		}
+	}
+	return banks, before, p.total, nil
 }

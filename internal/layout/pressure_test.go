@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"testing"
 
 	"locsched/internal/cache"
@@ -10,6 +11,23 @@ import (
 
 func fullSet(a *prog.Array) *eset.Set {
 	return eset.FromRuns(eset.Run{Lo: 0, Hi: a.Elems()})
+}
+
+// checkedPressure returns the oracle Pressure of groups under am after
+// checking that the incremental verifier's starting total agrees.
+func checkedPressure(groups []VerifyGroup, am AddressMap, geom cache.Geometry) (int64, error) {
+	want, err := Pressure(groups, am, geom)
+	if err != nil {
+		return 0, err
+	}
+	p, err := newPressure(groups, nil, am, geom)
+	if err != nil {
+		return 0, err
+	}
+	if p.total != want {
+		return 0, fmt.Errorf("incremental pressure %d, full recompute %d", p.total, want)
+	}
+	return want, nil
 }
 
 func TestPressureLockstepTriple(t *testing.T) {
@@ -23,7 +41,7 @@ func TestPressureLockstepTriple(t *testing.T) {
 		FP:   Footprints{a: fullSet(a), b: fullSet(b), c: fullSet(c)},
 		Refs: map[*prog.Array]int{a: 1, b: 1, c: 1},
 	}
-	got, err := Pressure([]VerifyGroup{g}, p, testGeom)
+	got, err := checkedPressure([]VerifyGroup{g}, p, testGeom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +59,7 @@ func TestPressurePairFits(t *testing.T) {
 		FP:   Footprints{a: fullSet(a), b: fullSet(b)},
 		Refs: map[*prog.Array]int{a: 1, b: 1},
 	}
-	got, err := Pressure([]VerifyGroup{g}, p, testGeom)
+	got, err := checkedPressure([]VerifyGroup{g}, p, testGeom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +79,7 @@ func TestPressureSingleStreamDeepArrayIsFree(t *testing.T) {
 		FP:   Footprints{a: fullSet(a)},
 		Refs: map[*prog.Array]int{a: 1},
 	}
-	got, err := Pressure([]VerifyGroup{g}, p, testGeom)
+	got, err := checkedPressure([]VerifyGroup{g}, p, testGeom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +98,7 @@ func TestPressureMultipleRefsToDeepArray(t *testing.T) {
 		FP:   Footprints{a: fullSet(a)},
 		Refs: map[*prog.Array]int{a: 3},
 	}
-	got, err := Pressure([]VerifyGroup{g}, p, testGeom)
+	got, err := checkedPressure([]VerifyGroup{g}, p, testGeom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +111,7 @@ func TestPressureMissingRefsDefaultsToOneStream(t *testing.T) {
 	a := prog.MustArray("A", 4, 4096)
 	p := MustPack(testGeom.PageSize(), a)
 	g := VerifyGroup{FP: Footprints{a: fullSet(a)}} // no Refs map
-	got, err := Pressure([]VerifyGroup{g}, p, testGeom)
+	got, err := checkedPressure([]VerifyGroup{g}, p, testGeom)
 	if err != nil {
 		t.Fatal(err)
 	}
