@@ -111,42 +111,36 @@ func BenchmarkFigure7Table(b *testing.B) {
 }
 
 // BenchmarkFigure7XL measures the cells of the large-scale scenario
-// ladder — generated multi-program mixes at 32, 64, and 128 cores —
-// under both the strided-RLE engine (default) and the flat-stream
-// engine (the PR 1 baseline), so `-bench Figure7XL` directly measures
-// the coalescing speedup on the suite it was built for. Apps are built
-// and a warm-up run performed outside the timer: what is measured is
-// the steady-state simulation cost of a cell (scheduling analyses and
-// compiled streams are memoized across runs in both engines alike).
+// ladder — generated multi-program mixes at 32, 64, and 128 cores. Apps
+// are built and a warm-up run performed outside the timer: what is
+// measured is the steady-state simulation cost of a cell (scheduling
+// analyses and compiled streams are memoized across runs).
 func BenchmarkFigure7XL(b *testing.B) {
 	for _, pt := range locsched.DefaultXLPoints() {
 		// ARR rides along with the paper's four: its cells quantify how
 		// much of the RRS preemption penalty (the weakest coalescing
 		// cells) affinity-aware dispatch recovers.
 		for _, pol := range append(locsched.Policies(), locsched.ARR) {
-			for _, engine := range []string{"rle", "flat"} {
-				b.Run(fmt.Sprintf("%dc-T%d/%s/%s", pt.Cores, pt.Tasks, pol, engine), func(b *testing.B) {
-					cfg := benchConfig()
-					cfg.Machine.Cores = pt.Cores
-					cfg.Machine.FlatStreams = engine == "flat"
-					apps, err := locsched.BuildMixApps(pt.Tasks, cfg.Workload)
+			b.Run(fmt.Sprintf("%dc-T%d/%s", pt.Cores, pt.Tasks, pol), func(b *testing.B) {
+				cfg := benchConfig()
+				cfg.Machine.Cores = pt.Cores
+				apps, err := locsched.BuildMixApps(pt.Tasks, cfg.Workload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var last *locsched.RunResult
+				if last, err = locsched.RunConcurrent(apps, pol, cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					last, err = locsched.RunConcurrent(apps, pol, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
-					var last *locsched.RunResult
-					if last, err = locsched.RunConcurrent(apps, pol, cfg); err != nil {
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						last, err = locsched.RunConcurrent(apps, pol, cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					reportRun(b, last)
-				})
-			}
+				}
+				reportRun(b, last)
+			})
 		}
 	}
 }
@@ -216,17 +210,18 @@ func BenchmarkSweepXLGrid(b *testing.B) {
 }
 
 // BenchmarkStreamMemory reports the resident compiled-stream bytes of
-// the whole Table 1 suite in both encodings (flat vs strided RLE) under
-// the packed base layout — the ≥4× reduction criterion, measured.
+// the whole Table 1 suite under the packed base layout. The trace
+// package's BenchmarkStreamMemory compares them with the flat oracle
+// form.
 func BenchmarkStreamMemory(b *testing.B) {
 	cfg := benchConfig()
 	apps, err := workload.BuildAll(cfg.Workload)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var flatBytes, rleBytes int64
+	var rleBytes int64
 	for i := 0; i < b.N; i++ {
-		flatBytes, rleBytes = 0, 0
+		rleBytes = 0
 		for _, app := range apps {
 			base, err := layout.Pack(cfg.Align, app.Arrays...)
 			if err != nil {
@@ -234,22 +229,15 @@ func BenchmarkStreamMemory(b *testing.B) {
 			}
 			gen := trace.NewGenerator(base)
 			for _, p := range app.Graph.Processes() {
-				flat, err := gen.Stream(p.Spec)
-				if err != nil {
-					b.Fatal(err)
-				}
 				rle, err := gen.RLE(p.Spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				flatBytes += flat.MemBytes()
 				rleBytes += rle.MemBytes()
 			}
 		}
 	}
-	b.ReportMetric(float64(flatBytes), "flat_bytes")
 	b.ReportMetric(float64(rleBytes), "rle_bytes")
-	b.ReportMetric(float64(flatBytes)/float64(rleBytes), "reduction×")
 }
 
 // BenchmarkTable1Build measures constructing the whole application suite
@@ -463,7 +451,8 @@ func BenchmarkCacheAccessClassified(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceCursor measures lazy trace generation throughput.
+// BenchmarkTraceCursor measures per-access consumption of a compiled
+// trace through the RLE cursor.
 func BenchmarkTraceCursor(b *testing.B) {
 	arr := prog.MustArray("A", 4, 1<<20)
 	iter := prog.Seg("i", 0, 4096)
@@ -472,7 +461,7 @@ func BenchmarkTraceCursor(b *testing.B) {
 		prog.StreamRef(arr, prog.Write, iter, 2, 64),
 	)
 	gen := trace.NewGenerator(layout.MustPack(32, arr))
-	cur, err := gen.NewCursor(spec)
+	cur, err := gen.NewRLECursor(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -510,95 +499,5 @@ func BenchmarkEsetIntersect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sa.IntersectCard(sb)
-	}
-}
-
-// xlAnalysisGraph builds the generated-mix EPG of one XL ladder point
-// (tasks = cores/4) for the analysis-phase benchmarks.
-func xlAnalysisGraph(b *testing.B, cores int) *locsched.Graph {
-	b.Helper()
-	apps, err := workload.BuildMany(cores/4, workload.Params{Scale: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, _, err := workload.Combine(apps...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// BenchmarkComputeMatrixXL measures sharing-matrix construction on the
-// XL ladder's generated mixes: the sequential pairwise path against the
-// blocked parallel construction at 1 and 4 workers (the two are
-// bit-identical; see the sharing differential tests).
-func BenchmarkComputeMatrixXL(b *testing.B) {
-	for _, cores := range []int{128, 512, 1024} {
-		// The graph builds inside the cores-level Run so filtered
-		// invocations (CI smokes select 128c only) skip the other rungs'
-		// multi-thousand-process setup entirely.
-		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
-			g := xlAnalysisGraph(b, cores)
-			// Each path builds a fresh Analyzer per iteration (exactly what
-			// a cachedMatrix miss does), so the numbers cover the full
-			// analysis phase — data spaces plus the pair sweep. The
-			// parallel path's data-space phase additionally benefits from
-			// content dedup of repeated app templates; that is part of its
-			// design, not benchmark noise (see PERFORMANCE.md).
-			b.Run("seq", func(b *testing.B) {
-				b.ReportMetric(float64(g.Len()), "procs")
-				for i := 0; i < b.N; i++ {
-					if _, err := locsched.ComputeSharing(g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			for _, workers := range []int{1, 4} {
-				b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
-					b.ReportMetric(float64(g.Len()), "procs")
-					for i := 0; i < b.N; i++ {
-						if _, err := locsched.ComputeSharingParallel(g, workers); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkLocalityScheduleXL measures the Figure 3 greedy on the XL
-// ladder's generated mixes: the retained full-rescan reference against
-// the incremental formulation (bit-identical; see the sched differential
-// tests).
-func BenchmarkLocalityScheduleXL(b *testing.B) {
-	for _, cores := range []int{128, 512, 1024} {
-		cores := cores
-		// Graph and matrix build inside the cores-level Run so filtered
-		// invocations skip the other rungs' setup (the 1024c matrix alone
-		// costs hundreds of milliseconds).
-		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
-			g := xlAnalysisGraph(b, cores)
-			m, err := locsched.ComputeSharingParallel(g, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run("rescan", func(b *testing.B) {
-				b.ReportMetric(float64(g.Len()), "procs")
-				for i := 0; i < b.N; i++ {
-					if _, err := sched.LocalityScheduleRescan(g, m, cores); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("incremental", func(b *testing.B) {
-				b.ReportMetric(float64(g.Len()), "procs")
-				for i := 0; i < b.N; i++ {
-					if _, err := locsched.LocalitySchedule(g, m, cores); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
 	}
 }

@@ -77,7 +77,7 @@ func main() {
 		proc := app.Graph.Process(ids[*procIdx])
 		am := layout.MustPack(32, app.Arrays...)
 		gen := trace.NewGenerator(am)
-		cur, err := gen.NewCursor(proc.Spec)
+		cur, err := gen.NewRLECursor(proc.Spec)
 		if err != nil {
 			fatal(err)
 		}

@@ -42,23 +42,25 @@ func ContentKey(g *taskgraph.Graph, arrays []*prog.Array, align int64) (string, 
 // ConfigDigest returns a canonical digest of everything in a Config that
 // can change a simulation's observable result: the machine (cores, cache
 // geometry, latencies, replacement, indexing, write policy, bus model,
-// engine selection, plus the heterogeneity extension — speed classes,
-// topology, hop penalty), the policy parameters (quantum, seed, affinity
-// family), and the layout alignment. Workers and RecordTimeline are
-// deliberately excluded: they change how fast a result is computed and
-// what side channels are captured, never the result cells themselves,
-// so cached response bytes stay valid across any parallelism setting.
+// plus the heterogeneity extension — speed classes, topology, hop
+// penalty), the policy parameters (quantum, seed, affinity family), and
+// the layout alignment. Workers and RecordTimeline are deliberately
+// excluded: they change how fast a result is computed and what side
+// channels are captured, never the result cells themselves, so cached
+// response bytes stay valid across any parallelism setting. QBatch 0 and
+// 1 both grant a single quantum, so they share one digest.
 func ConfigDigest(cfg Config) string {
 	m := cfg.Machine
+	qbatch := max(cfg.QBatch, 1)
 	h := sha256.New()
-	fmt.Fprintf(h, "cores=%d|cache=%d,%d,%d|repl=%d|idx=%d|cls=%t|lat=%d,%d|clk=%d|seed=%d|bus=%g|wp=%d,%d|flat=%t",
+	fmt.Fprintf(h, "cores=%d|cache=%d,%d,%d|repl=%d|idx=%d|cls=%t|lat=%d,%d|clk=%d|seed=%d|bus=%g|wp=%d,%d",
 		m.Cores, m.Cache.Size, m.Cache.BlockSize, m.Cache.Assoc,
 		m.Replacement, m.Indexing, m.Classify, m.HitLatency, m.MissPenalty,
-		m.ClockMHz, m.Seed, m.BusFactor, m.WritePolicy, m.WritebackPenalty, m.FlatStreams)
+		m.ClockMHz, m.Seed, m.BusFactor, m.WritePolicy, m.WritebackPenalty)
 	fmt.Fprintf(h, "|speeds=%s|topo=%d|hop=%d",
 		m.Machine.SpeedClasses, m.Machine.Topology, m.Machine.HopPenalty)
 	fmt.Fprintf(h, "|q=%d|seed=%d|align=%d|aff=%d,%d,%d|scale=%d",
-		cfg.Quantum, cfg.Seed, cfg.Align, cfg.Affinity, cfg.QBatch, cfg.AffinityDecay,
+		cfg.Quantum, cfg.Seed, cfg.Align, cfg.Affinity, qbatch, cfg.AffinityDecay,
 		cfg.Workload.Scale)
 	return hex.EncodeToString(h.Sum(nil))
 }

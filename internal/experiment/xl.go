@@ -1,14 +1,13 @@
 package experiment
 
 // This file holds the large-scale evaluation scenarios. The paper stops
-// at 8 cores and six concurrent tasks; the compiled-trace engines make
+// at 8 cores and six concurrent tasks; the compiled-trace engine makes
 // much bigger settings cheap, so this adds the XL layer the ROADMAP
 // calls for: generated multi-program mixes on 32–1024-core machines
 // (Figure7XL over DefaultXLPoints or an XLLadder extension) and a dense
 // cache-geometry × miss-penalty grid over the full Table 1 mix
-// (SweepXL). Both fan cells out on the Config.Workers pool and are
-// bit-identical across the flat and RLE simulation engines (enforced by
-// the differential tests). The 512/1024-core points are what the blocked
+// (SweepXL). Both fan cells out on the Config.Workers pool with results
+// independent of the worker count. The 512/1024-core points are what the blocked
 // parallel sharing matrix and the incremental LocalitySchedule were
 // built for: at those scales the scheduling analysis, not the cache
 // simulation, used to dominate cell setup.

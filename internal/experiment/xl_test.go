@@ -7,82 +7,13 @@ import (
 	"locsched/internal/workload"
 )
 
-// xlTestConfig keeps the XL differential tests fast: scale-1 workloads,
-// sequential cells.
+// xlTestConfig keeps the XL tests fast: scale-1 workloads, sequential
+// cells.
 func xlTestConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Workload = workload.Params{Scale: 1}
 	cfg.Workers = 1
 	return cfg
-}
-
-// runBothEngines runs fn under the flat-stream and RLE engines and
-// fails the test unless the results are deeply identical.
-func runBothEngines[T any](t *testing.T, name string, cfg Config, fn func(Config) (T, error)) {
-	t.Helper()
-	flatCfg := cfg
-	flatCfg.Machine.FlatStreams = true
-	flat, err := fn(flatCfg)
-	if err != nil {
-		t.Fatalf("%s (flat engine): %v", name, err)
-	}
-	rleCfg := cfg
-	rleCfg.Machine.FlatStreams = false
-	rle, err := fn(rleCfg)
-	if err != nil {
-		t.Fatalf("%s (RLE engine): %v", name, err)
-	}
-	if !reflect.DeepEqual(flat, rle) {
-		t.Errorf("%s: flat and RLE engines diverge:\nflat: %+v\nrle:  %+v", name, flat, rle)
-	}
-}
-
-// TestFigureOutputsFlatVsRLE asserts the acceptance criterion end to
-// end: every figure, sweep, and ablation harness produces identical
-// output under the flat-stream and RLE-coalesced engines.
-func TestFigureOutputsFlatVsRLE(t *testing.T) {
-	cfg := xlTestConfig()
-	runBothEngines(t, "Figure6", cfg, func(c Config) (*Table, error) { return Figure6(c, nil) })
-	runBothEngines(t, "Figure7", cfg, func(c Config) (*Table, error) { return Figure7(c, nil) })
-	runBothEngines(t, "SweepCacheSize", cfg, func(c Config) (*Sweep, error) {
-		return SweepCacheSize(c, []int64{4 << 10, 16 << 10}, []Policy{RS, LS, LSM})
-	})
-	runBothEngines(t, "SweepQuantum", cfg, func(c Config) (*Sweep, error) {
-		return SweepQuantum(c, []int64{512, 8192})
-	})
-	// The replacement ablation additionally exercises the FIFO and
-	// random-replacement paths of the batched cache entry points, the
-	// indexing ablation the non-modulo set hash, and the static-mode
-	// ablation the work-stealing dispatcher.
-	runBothEngines(t, "AblationReplacement", cfg, func(c Config) (*Sweep, error) {
-		return AblationReplacement(c)
-	})
-	runBothEngines(t, "AblationIndexing", cfg, func(c Config) (*Sweep, error) {
-		return AblationIndexing(c)
-	})
-	runBothEngines(t, "AblationStaticMode", cfg, func(c Config) (*Sweep, error) {
-		return AblationStaticMode(c, 3)
-	})
-}
-
-// TestFigure7XLFlatVsRLE: the large-scale mixes are bit-identical across
-// engines too (a 32-core point keeps the test quick; the full ladder
-// runs in the benchmarks and the CLI).
-func TestFigure7XLFlatVsRLE(t *testing.T) {
-	cfg := xlTestConfig()
-	points := []XLPoint{{Cores: 32, Tasks: 8}}
-	runBothEngines(t, "Figure7XL", cfg, func(c Config) (*Table, error) {
-		return Figure7XL(c, points, nil)
-	})
-}
-
-// TestSweepXLFlatVsRLE: a reduced dense grid is bit-identical across
-// engines.
-func TestSweepXLFlatVsRLE(t *testing.T) {
-	cfg := xlTestConfig()
-	runBothEngines(t, "SweepXL", cfg, func(c Config) (*Sweep, error) {
-		return SweepXL(c, []int64{4 << 10, 8 << 10}, []int{1, 2}, []int64{25, 75}, []Policy{RS, LS, LSM})
-	})
 }
 
 // TestFigure7XLParallelDeterministic: XL cells fanned out on a worker

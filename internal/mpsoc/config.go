@@ -43,13 +43,6 @@ type Config struct {
 	WritePolicy      cache.WritePolicy
 	WritebackPenalty int64
 
-	// FlatStreams forces the fully-materialized compiled-stream execution
-	// path instead of the default strided-RLE block-coalesced one. The two
-	// engines are bit-identical (enforced by differential tests); the flag
-	// exists for differential testing and before/after benchmarking, and
-	// for exotic traces where the RLE segments degenerate to length 1.
-	FlatStreams bool
-
 	// Machine extends the scalar parameters above with per-core speed
 	// classes and an interconnect topology (see Machine). The zero value
 	// is the paper's homogeneous shared-bus machine and is bit-identical

@@ -48,10 +48,9 @@ type CoreAgnostic interface {
 // executed segment the engine reports which process ran, on which core,
 // the cycle the segment ended, and whether the process completed. This
 // is the last-core hint an affinity-aware policy (sched.AffinityRR)
-// feeds on, delivered identically by the flat-stream and strided-RLE
-// execution paths (both funnel through the shared dispatch loop).
-// SegmentDone is called before the corresponding Ready/Preempted
-// announcement and must not affect whether a subsequent Pick succeeds.
+// feeds on. SegmentDone is called before the corresponding
+// Ready/Preempted announcement and must not affect whether a subsequent
+// Pick succeeds.
 type SegmentObserver interface {
 	SegmentDone(id taskgraph.ProcID, core int, now int64, completed bool)
 }
@@ -108,32 +107,21 @@ type Result struct {
 	Timeline      []Segment // populated when Config.RecordTimeline is set
 }
 
-// procCursor is one process's playback state under whichever engine the
-// runner was built for: exactly one of flat and rle is set. running
-// marks a process whose segment is in flight on some core, so Run can
-// refuse a dispatcher that hands it to a second core without a second
-// lookup on the dispatch path.
+// procCursor is one process's playback state. running marks a process
+// whose segment is in flight on some core, so Run can refuse a
+// dispatcher that hands it to a second core without a second lookup on
+// the dispatch path.
 type procCursor struct {
-	flat    *trace.Cursor
-	rle     *trace.RLECursor
+	cur     *trace.RLECursor
 	running bool
 }
 
-func (pc *procCursor) done() bool {
-	if pc.flat != nil {
-		return pc.flat.Done()
-	}
-	return pc.rle.Done()
-}
-
-func (pc *procCursor) reset() {
-	if pc.flat != nil {
-		pc.flat.Reset()
-	} else {
-		pc.rle.Reset()
-	}
-	pc.running = false
-}
+// segmentFunc executes one dispatched segment of cur on cache c until
+// completion or quantum expiry (quantum 0 = no limit), returning the
+// consumed cycles. blockScratch and writeScratch are the Runner's
+// scratch buffers, sized to the widest reference group.
+type segmentFunc func(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64,
+	blockScratch []int64, writeScratch []bool) (cycles int64, completed bool)
 
 type evKind int
 
@@ -155,9 +143,8 @@ type event struct {
 // measured path free of setup cost and lets repeated experiments (and
 // benchmarks) reuse the compiled streams and cache arenas.
 //
-// By default processes execute as strided run-length-encoded streams
-// (runSegmentRLE); Config.FlatStreams selects the fully-materialized
-// flat-stream path instead. The two are bit-identical.
+// Processes execute as strided run-length-encoded streams
+// (runSegmentRLE).
 //
 // A Runner is not safe for concurrent use; independent experiment cells
 // build their own.
@@ -167,6 +154,9 @@ type Runner struct {
 	cursors map[taskgraph.ProcID]*procCursor
 	caches  []*cache.Cache
 	runs    int
+	// segment runs one dispatched segment: runSegmentRLE, except in
+	// tests, which substitute a per-access replay as the oracle.
+	segment segmentFunc
 	// Per-core cost tables from the machine model (see machine.go):
 	// coreHitLat[c] is the core's speed-scaled hit latency, coreMissBase[c]
 	// its base miss penalty including the topology hop term. On the
@@ -200,21 +190,11 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 	gen := trace.NewGenerator(am)
 	cursors := make(map[taskgraph.ProcID]*procCursor, g.Len())
 	for _, p := range g.Processes() {
-		pc := &procCursor{}
-		if cfg.FlatStreams {
-			cur, err := gen.NewCursor(p.Spec)
-			if err != nil {
-				return nil, err
-			}
-			pc.flat = cur
-		} else {
-			cur, err := gen.NewRLECursor(p.Spec)
-			if err != nil {
-				return nil, err
-			}
-			pc.rle = cur
+		cur, err := gen.NewRLECursor(p.Spec)
+		if err != nil {
+			return nil, err
 		}
-		cursors[p.ID] = pc
+		cursors[p.ID] = &procCursor{cur: cur}
 	}
 
 	caches := make([]*cache.Cache, cfg.Cores)
@@ -245,7 +225,7 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 		return nil, err
 	}
 	return &Runner{
-		g: g, cfg: cfg, cursors: cursors, caches: caches,
+		g: g, cfg: cfg, cursors: cursors, caches: caches, segment: runSegmentRLE,
 		coreHitLat: coreHitLat, coreMissBase: coreMissBase,
 		blockScratch: make([]int64, maxRefs),
 		writeScratch: make([]bool, maxRefs),
@@ -259,7 +239,8 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 func (r *Runner) resetForRun() {
 	if r.runs > 0 {
 		for _, pc := range r.cursors {
-			pc.reset()
+			pc.cur.Reset()
+			pc.running = false
 		}
 		for _, c := range r.caches {
 			c.Reset()
@@ -437,7 +418,7 @@ func (r *Runner) Run(d Dispatcher) (*Result, error) {
 			if pc.running {
 				return nil, fmt.Errorf("mpsoc: policy %s picked in-flight process %v", d.Name(), id)
 			}
-			if pc.done() {
+			if pc.cur.Done() {
 				return nil, fmt.Errorf("mpsoc: policy %s re-picked completed process %v", d.Name(), id)
 			}
 			// Cost inputs come from the dispatched core's machine-model
@@ -450,13 +431,7 @@ func (r *Runner) Run(d Dispatcher) (*Result, error) {
 			busyCores++
 			pc.running = true
 			onCore[ev.core] = pc
-			var cycles int64
-			var completed bool
-			if pc.flat != nil {
-				cycles, completed = runSegment(pc.flat, r.caches[ev.core], r.coreHitLat[ev.core], penalty, cfg.WritebackPenalty, quantum)
-			} else {
-				cycles, completed = runSegmentRLE(pc.rle, r.caches[ev.core], r.coreHitLat[ev.core], penalty, cfg.WritebackPenalty, quantum, r.blockScratch, r.writeScratch)
-			}
+			cycles, completed := r.segment(pc.cur, r.caches[ev.core], r.coreHitLat[ev.core], penalty, cfg.WritebackPenalty, quantum, r.blockScratch, r.writeScratch)
 			st := &res.PerCore[ev.core]
 			st.BusyCycles += cycles
 			st.Segments++
@@ -487,58 +462,4 @@ func Run(g *taskgraph.Graph, d Dispatcher, am layout.AddressMap, cfg Config) (*R
 		return nil, err
 	}
 	return r.Run(d)
-}
-
-// runSegment executes the cursor on the cache until completion or quantum
-// expiry (quantum 0 = no limit) and returns the consumed cycles. At least
-// one access always executes, so preemptive policies make progress even
-// with degenerate quanta. The loop runs directly over the compiled
-// stream: two slice loads per access, with the no-quantum case hoisted
-// out of the per-access path.
-func runSegment(cur *trace.Cursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64) (cycles int64, completed bool) {
-	compute := cur.Spec().ComputePerIter
-	addrs, flags, start := cur.StreamAt()
-	pos, n := start, len(addrs)
-	missCost := hitLat + missPenalty
-
-	if quantum <= 0 {
-		for ; pos < n; pos++ {
-			f := flags[pos]
-			if f&trace.FlagNewIter != 0 {
-				cycles += compute
-			}
-			class, wroteBack := c.AccessRW(addrs[pos], f&trace.FlagWrite != 0)
-			if class == cache.Hit {
-				cycles += hitLat
-			} else {
-				cycles += missCost
-			}
-			if wroteBack {
-				cycles += wbPenalty
-			}
-		}
-		cur.Skip(pos - start)
-		return cycles, true
-	}
-
-	for pos < n && cycles < quantum {
-		f := flags[pos]
-		if f&trace.FlagNewIter != 0 {
-			cycles += compute
-		}
-		class, wroteBack := c.AccessRW(addrs[pos], f&trace.FlagWrite != 0)
-		if class == cache.Hit {
-			cycles += hitLat
-		} else {
-			cycles += missCost
-		}
-		if wroteBack {
-			cycles += wbPenalty
-		}
-		pos++
-	}
-	cur.Skip(pos - start)
-	// A stream that ended exactly on the quantum boundary is a
-	// completion, not a preemption.
-	return cycles, pos >= n
 }

@@ -191,7 +191,7 @@ func TestCoreCostTables(t *testing.T) {
 // topology with a zero hop cost, any hop cost on a bus — must produce
 // results bit-identical (reflect.DeepEqual on the full Result) to the
 // zero-value Machine, across applications, both address maps, every
-// dispatcher family, and both stream engines (strided-RLE and flat).
+// dispatcher family, on the engine and on its per-access replay oracle.
 func TestHomogeneousMachineEquivalence(t *testing.T) {
 	variants := map[string]Machine{
 		"spelled-uniform": {SpeedClasses: "1,1,1"},
@@ -222,9 +222,7 @@ func TestHomogeneousMachineEquivalence(t *testing.T) {
 						if !reflect.DeepEqual(base, got) {
 							t.Errorf("%s: diverges from zero-value Machine:\nbase: %+v\ngot:  %+v", vName, base, got)
 						}
-						flatCfg := vcfg
-						flatCfg.FlatStreams = true
-						flat, err := Run(app.Graph, mkDisp(), am, flatCfg)
+						flat, err := runReplay(app.Graph, mkDisp(), am, vcfg)
 						if err != nil {
 							t.Fatalf("%s (flat): %v", vName, err)
 						}

@@ -46,11 +46,12 @@ func rleDiffMaps(t *testing.T, app *workload.App, geom cache.Geometry) map[strin
 	return map[string]layout.AddressMap{"Packed": base, "Relayouted": rl}
 }
 
-// rleDiffConfigs returns the machine variants the engines are compared
-// under: the Table 2 default, a quantum-stressing small-cache variant,
-// a write-back variant (dirty-eviction cycles must also match), and a
-// heterogeneous variant (per-core speed classes on a mesh with a hop
-// penalty — the per-core cost tables must agree across engines too).
+// rleDiffConfigs returns the machine variants the engine is compared
+// with its per-access replay under: the Table 2 default, a
+// quantum-stressing small-cache variant, a write-back variant
+// (dirty-eviction cycles must also match), and a heterogeneous variant
+// (per-core speed classes on a mesh with a hop penalty — the per-core
+// cost tables must agree too).
 func rleDiffConfigs() map[string]Config {
 	def := DefaultConfig()
 
@@ -106,49 +107,158 @@ func rleDiffDispatchers(t *testing.T) map[string]func() Dispatcher {
 	}
 }
 
-// TestRLEEngineMatchesFlat: for every Table 1 application under both
-// address maps, several machine variants, and both run-to-completion and
-// preemptive dispatchers, the strided-RLE block-coalesced engine produces
-// results bit-identical to the flat compiled-stream engine: makespan,
-// per-core busy cycles and cache stats (hits, cold/capacity/conflict
-// misses, writebacks), completion times, preemption and idle counts.
+// oracleAxisConfigs returns further machine axes the engine is held to
+// the per-access oracle under: the non-LRU replacement policies (the
+// batched cache entry points have FIFO and random arms), both prime-hash
+// set indexings, and a 4 KB direct-mapped cache with a 25-cycle miss
+// penalty.
+func oracleAxisConfigs() map[string]Config {
+	with := func(f func(*Config)) Config {
+		c := DefaultConfig()
+		f(&c)
+		return c
+	}
+	return map[string]Config{
+		"FIFO":          with(func(c *Config) { c.Replacement = cache.FIFO }),
+		"Random":        with(func(c *Config) { c.Replacement = cache.RandomRepl }),
+		"PrimeModulo":   with(func(c *Config) { c.Indexing = cache.PrimeModuloIndexing }),
+		"PrimeDisplace": with(func(c *Config) { c.Indexing = cache.PrimeDisplacementIndexing }),
+		"DM4K-miss25": with(func(c *Config) {
+			c.Cache = cache.Geometry{Size: 4 << 10, BlockSize: 32, Assoc: 1}
+			c.MissPenalty = 25
+		}),
+	}
+}
+
+// oracleAxisDispatchers returns further dispatcher axes over graph g on
+// the given core count: RRS at quanta 512 and 8192, the three StaticMode
+// interpretations of the LS assignment, and ARR windows 0/4 × quantum
+// batches 1/4 at a 2048-cycle quantum.
+func oracleAxisDispatchers(t *testing.T, g *taskgraph.Graph, cores int) map[string]func() Dispatcher {
+	t.Helper()
+	m, err := sharing.ComputeMatrix(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg, err := sched.LocalitySchedule(g, m, cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := map[string]func() Dispatcher{
+		"RRS-512":  func() Dispatcher { return sched.MustRoundRobin(512) },
+		"RRS-8192": func() Dispatcher { return sched.MustRoundRobin(8192) },
+	}
+	for _, mode := range []sched.StaticMode{sched.StrictOrder, sched.SkipBlocked, sched.StealWhenIdle} {
+		ds["LS-"+mode.String()] = func() Dispatcher { return sched.NewStaticMode("LS", asg, mode) }
+	}
+	for _, w := range []int{0, 4} {
+		for _, k := range []int{1, 4} {
+			ds[fmt.Sprintf("ARR-w%d-k%d", w, k)] = func() Dispatcher {
+				return sched.MustAffinityRR(sched.AffinityConfig{Quantum: 2048, Window: w, QBatch: k})
+			}
+		}
+	}
+	return ds
+}
+
+// checkMatchesReplay runs one cell on the engine and on the per-access
+// oracle and fails unless the results are deeply identical.
+func checkMatchesReplay(t *testing.T, g *taskgraph.Graph, mkDisp func() Dispatcher, am layout.AddressMap, cfg Config) {
+	t.Helper()
+	want, err := runReplay(g, mkDisp(), am, cfg)
+	if err != nil {
+		t.Fatalf("per-access replay: %v", err)
+	}
+	got, err := Run(g, mkDisp(), am, cfg)
+	if err != nil {
+		t.Fatalf("RLE engine: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("results diverge:\nreplay: %+v\nrle:    %+v", want, got)
+	}
+}
+
+// TestRLEEngineMatchesFlat is the engine's oracle matrix: for every
+// Table 1 application under both address maps, every machine variant of
+// rleDiffConfigs and oracleAxisConfigs, and every dispatcher of
+// rleDiffDispatchers and oracleAxisDispatchers, the strided-RLE
+// block-coalesced engine produces results bit-identical to the
+// per-access flat-order replay (replaySegment): makespan, per-core busy
+// cycles and cache stats (hits, cold/capacity/conflict misses,
+// writebacks), completion times, preemption, affinity and idle counts.
+// A seeded eight-application mix on 32 cores runs the five policy
+// families the same way.
 func TestRLEEngineMatchesFlat(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cfgName, cfg := range rleDiffConfigs() {
+	cfgs := rleDiffConfigs()
+	for name, cfg := range oracleAxisConfigs() {
+		cfgs[name] = cfg
+	}
+	for cfgName, cfg := range cfgs {
 		for _, app := range apps {
+			disps := rleDiffDispatchers(t)
+			for name, d := range oracleAxisDispatchers(t, app.Graph, cfg.Cores) {
+				disps[name] = d
+			}
 			for amName, am := range rleDiffMaps(t, app, cfg.Cache) {
-				for dName, mkDisp := range rleDiffDispatchers(t) {
+				for dName, mkDisp := range disps {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", cfgName, app.Name, amName, dName), func(t *testing.T) {
-						flatCfg := cfg
-						flatCfg.FlatStreams = true
-						flat, err := Run(app.Graph, mkDisp(), am, flatCfg)
-						if err != nil {
-							t.Fatalf("flat engine: %v", err)
-						}
-						rleCfg := cfg
-						rleCfg.FlatStreams = false
-						rle, err := Run(app.Graph, mkDisp(), am, rleCfg)
-						if err != nil {
-							t.Fatalf("RLE engine: %v", err)
-						}
-						if !reflect.DeepEqual(flat, rle) {
-							t.Errorf("results diverge:\nflat: %+v\nrle:  %+v", flat, rle)
-						}
+						checkMatchesReplay(t, app.Graph, mkDisp, am, cfg)
 					})
 				}
 			}
 		}
 	}
+
+	t.Run("Mix8-32c", func(t *testing.T) {
+		mix, err := workload.BuildMany(8, workload.Params{Scale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, arrays, err := workload.Combine(mix...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Cores = 32
+		base, err := layout.Pack(cfg.Cache.BlockSize, arrays...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sharing.ComputeMatrix(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, mapping, err := sched.NewLSM(g, m, nil, cfg.Cores, base, cfg.Cache, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := map[string]struct {
+			am     layout.AddressMap
+			mkDisp func() Dispatcher
+		}{
+			"RS":  {base, func() Dispatcher { return sched.NewRandom(1) }},
+			"RRS": {base, func() Dispatcher { return sched.MustRoundRobin(2048) }},
+			"ARR": {base, func() Dispatcher {
+				return sched.MustAffinityRR(sched.AffinityConfig{Quantum: 2048, Window: 256, QBatch: 8})
+			}},
+			"LS":  {base, func() Dispatcher { return sched.NewStatic("LS", mapping.Assignment) }},
+			"LSM": {mapping.Layout, func() Dispatcher { return sched.NewStatic("LSM", mapping.Assignment) }},
+		}
+		for name, c := range cells {
+			t.Run(name, func(t *testing.T) { checkMatchesReplay(t, g, c.mkDisp, c.am, cfg) })
+		}
+	})
 }
 
 // TestRLEEngineSingleRef: processes with exactly one reference take the
 // engine's AccessRun fast path (same-block runs resolved in one call
 // with no residency probe); a chain of single-ref strided readers and
-// writers must stay bit-identical to the flat engine, with and without
-// preemption and under write-back.
+// writers must stay bit-identical to the per-access replay, with and
+// without preemption and under write-back.
 func TestRLEEngineSingleRef(t *testing.T) {
 	arr := prog.MustArray("sr.A", 4, 1<<16)
 	g := taskgraph.New()
@@ -181,26 +291,15 @@ func TestRLEEngineSingleRef(t *testing.T) {
 	for cfgName, cfg := range rleDiffConfigs() {
 		for dName, mkDisp := range rleDiffDispatchers(t) {
 			t.Run(fmt.Sprintf("%s/%s", cfgName, dName), func(t *testing.T) {
-				flatCfg := cfg
-				flatCfg.FlatStreams = true
-				flat, err := Run(g, mkDisp(), base, flatCfg)
-				if err != nil {
-					t.Fatalf("flat engine: %v", err)
-				}
-				rle, err := Run(g, mkDisp(), base, cfg)
-				if err != nil {
-					t.Fatalf("RLE engine: %v", err)
-				}
-				if !reflect.DeepEqual(flat, rle) {
-					t.Errorf("results diverge:\nflat: %+v\nrle:  %+v", flat, rle)
-				}
+				checkMatchesReplay(t, g, mkDisp, base, cfg)
 			})
 		}
 	}
 }
 
 // TestRLEEngineRunnerReuse: resetting and re-running a Runner (the path
-// repeated experiment cells take) stays bit-identical across engines.
+// repeated experiment cells take) stays bit-identical to the per-access
+// replay.
 func TestRLEEngineRunnerReuse(t *testing.T) {
 	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
 	if err != nil {
@@ -211,9 +310,7 @@ func TestRLEEngineRunnerReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatCfg := cfg
-	flatCfg.FlatStreams = true
-	flatRunner, err := NewRunner(app.Graph, base, flatCfg)
+	flatRunner, err := newReplayRunner(app.Graph, base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

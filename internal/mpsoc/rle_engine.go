@@ -6,11 +6,17 @@ import (
 )
 
 // runSegmentRLE executes the cursor on the cache until completion or
-// quantum expiry, advancing run-by-run over the strided RLE encoding
-// instead of access-by-access over a flat stream. It is bit-identical to
-// runSegment: same cycles, same preemption point, same cache state and
-// stats (the differential tests in this package and in internal/trace
-// enforce this).
+// quantum expiry (quantum 0 = no limit) and returns the consumed cycles,
+// advancing run-by-run over the strided RLE encoding. Its contract is
+// that of a per-access replay of the stream: before each access, stop
+// if cycles ≥ quantum; otherwise charge ComputePerIter at an iteration's
+// first access, then the hit latency or hit latency plus miss penalty,
+// plus the writeback penalty on a dirty eviction. At least one access
+// always executes, so preemptive policies make progress even with
+// degenerate quanta, and a stream that ends exactly on the quantum
+// boundary is a completion. The tests in this package hold it
+// bit-identical to that replay: same cycles, same preemption point, same
+// cache state and stats.
 //
 // The coalescing observation: within an RLE segment every reference
 // advances by a constant per-iteration delta, so the blocks an iteration
@@ -21,9 +27,9 @@ import (
 // preserved) and are applied in O(refs) by cache.TryAccessHitIters —
 // per-access work is paid only at block boundaries. Quantum expiry can
 // split a run mid-flight: fast-forwarding is capped to iterations whose
-// every access still passes the flat path's pre-access cycles<quantum
-// check, and the boundary iteration runs per access so the preemption
-// point lands exactly where the flat engine puts it.
+// every access still passes the pre-access cycles<quantum check, and the
+// boundary iteration runs per access so the preemption point lands
+// exactly where the per-access replay puts it.
 //
 // blockScratch and writeScratch are caller-owned scratch sized to at
 // least the stream's reference count; Run passes the Runner's buffers.

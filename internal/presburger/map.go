@@ -97,28 +97,6 @@ func (m *Map) ImagePoints(b *BasicSet, yield func(pt []int64) bool) error {
 	})
 }
 
-// Compose returns the map x -> m(inner(x)): inner runs first, then m.
-// m's input dimension must equal inner's output dimension. The composed
-// map is affine, with coefficients obtained by substitution.
-func (m *Map) Compose(inner *Map) (*Map, error) {
-	if m.in.Dim() != inner.OutDim() {
-		return nil, fmt.Errorf("presburger: composing map over %d inputs with map producing %d outputs",
-			m.in.Dim(), inner.OutDim())
-	}
-	n := inner.in.Dim()
-	exprs := make([]LinExpr, len(m.exprs))
-	for i, outer := range m.exprs {
-		e := Const(n, outer.K)
-		for j, c := range outer.Coef {
-			if c != 0 {
-				e = e.Add(inner.exprs[j].Scale(c))
-			}
-		}
-		exprs[i] = e
-	}
-	return NewMap(inner.in, exprs...)
-}
-
 func (m *Map) String() string {
 	var outs []string
 	for _, e := range m.exprs {

@@ -461,45 +461,6 @@ func TestPaperSharingSets(t *testing.T) {
 	}
 }
 
-func TestMapCompose(t *testing.T) {
-	// inner: (i,j) -> (2i+j, 3)   outer: (u,v) -> (u+v, u-v, 7)
-	in := MustSpace("i", "j")
-	inner := MustMap(in,
-		Term(2, 0, 2).Add(Term(2, 1, 1)),
-		Const(2, 3),
-	)
-	mid := MustSpace("u", "v")
-	outer := MustMap(mid,
-		Var(2, 0).Add(Var(2, 1)),
-		Var(2, 0).Sub(Var(2, 1)),
-		Const(2, 7),
-	)
-	comp, err := outer.Compose(inner)
-	if err != nil {
-		t.Fatalf("Compose: %v", err)
-	}
-	if !comp.InSpace().Equal(in) {
-		t.Error("composed map should be over the inner input space")
-	}
-	// Check against pointwise composition on a grid.
-	for i := int64(-3); i <= 3; i++ {
-		for j := int64(-3); j <= 3; j++ {
-			pt := []int64{i, j}
-			want := outer.Apply(inner.Apply(pt, nil), nil)
-			got := comp.Apply(pt, nil)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("Compose(%v) = %v, want %v", pt, got, want)
-				}
-			}
-		}
-	}
-	// Arity mismatch.
-	if _, err := inner.Compose(outer); err == nil {
-		t.Error("arity-mismatched composition should fail")
-	}
-}
-
 func ExampleBasicSet_Card() {
 	sp := MustSpace("i1", "i2")
 	is := MustRect(sp, []int64{0, 0}, []int64{8, 3000})

@@ -74,53 +74,6 @@ func (s *Set) Intersect(o *Set) (*Set, error) {
 	return out, nil
 }
 
-// Subtract returns s \ o. The complement of a conjunction is the union
-// of the negations of its constraints (¬(e ≥ 0) ≡ −e−1 ≥ 0 and
-// ¬(e = 0) ≡ e−1 ≥ 0 ∨ −e−1 ≥ 0 over the integers), so the difference
-// stays within the union-of-basic-sets representation. The number of
-// parts can grow multiplicatively; intended for the small set
-// descriptions of the sharing analysis.
-func (s *Set) Subtract(o *Set) (*Set, error) {
-	if !s.space.Equal(o.space) {
-		return nil, fmt.Errorf("presburger: difference over different spaces %v and %v", s.space, o.space)
-	}
-	result := &Set{space: s.space, parts: append([]*BasicSet(nil), s.parts...)}
-	for _, b := range o.parts {
-		next := &Set{space: s.space}
-		for _, part := range result.parts {
-			for _, neg := range negations(b) {
-				piece, err := part.With(neg)
-				if err != nil {
-					return nil, err
-				}
-				// Drop provably empty pieces early to bound growth.
-				if _, _, ok, empty := piece.Bounds(); ok && empty {
-					continue
-				}
-				next.parts = append(next.parts, piece)
-			}
-		}
-		result = next
-	}
-	return result, nil
-}
-
-// negations returns constraints whose disjunction is the complement of
-// the basic set's conjunction.
-func negations(b *BasicSet) []Constraint {
-	var out []Constraint
-	for _, c := range b.cons {
-		neg := GEZero(c.Expr.Scale(-1).AddConst(-1)) // ¬(e >= 0): -e-1 >= 0
-		if c.Kind == EQ {
-			// ¬(e == 0): e >= 1 or e <= -1.
-			out = append(out, GEZero(c.Expr.AddConst(-1)), neg)
-			continue
-		}
-		out = append(out, neg)
-	}
-	return out
-}
-
 // Contains reports whether the point lies in any part.
 func (s *Set) Contains(pt []int64) bool {
 	for _, p := range s.parts {

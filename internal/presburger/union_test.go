@@ -115,120 +115,6 @@ func TestSetPointsEarlyStop(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	// [0,30) \ ([5,10) ∪ [20,25)) = [0,5) ∪ [10,20) ∪ [25,30): 20 points.
-	a := MustSet(seg1(t, 0, 30))
-	b := MustSet(seg1(t, 5, 10), seg1(t, 20, 25))
-	d, err := a.Subtract(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := d.Card()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 20 {
-		t.Errorf("Card = %d, want 20", n)
-	}
-	for _, v := range []int64{0, 4, 10, 19, 25, 29} {
-		if !d.Contains([]int64{v}) {
-			t.Errorf("difference should contain %d", v)
-		}
-	}
-	for _, v := range []int64{5, 9, 20, 24, 30, -1} {
-		if d.Contains([]int64{v}) {
-			t.Errorf("difference should not contain %d", v)
-		}
-	}
-	// a \ a is empty.
-	self, err := a.Subtract(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty, err := self.IsEmpty(); err != nil || !empty {
-		t.Errorf("a \\ a should be empty: %v %v", empty, err)
-	}
-}
-
-func TestSubtractEqualityConstraint(t *testing.T) {
-	// {[i,j]: 0<=i<4 && 0<=j<4} \ {diagonal i=j} = 12 points.
-	sp := MustSpace("i", "j")
-	box := MustSet(MustRect(sp, []int64{0, 0}, []int64{4, 4}))
-	diag := MustSet(MustRect(sp, []int64{0, 0}, []int64{4, 4}).
-		MustWith(EQZero(Var(2, 0).Sub(Var(2, 1)))))
-	d, err := box.Subtract(diag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := d.Card()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 12 {
-		t.Errorf("Card = %d, want 12", n)
-	}
-	if d.Contains([]int64{2, 2}) {
-		t.Error("diagonal point should be removed")
-	}
-	if !d.Contains([]int64{1, 3}) {
-		t.Error("off-diagonal point should remain")
-	}
-}
-
-func TestSubtractSpaceMismatch(t *testing.T) {
-	a := MustSet(MustRect(MustSpace("i"), []int64{0}, []int64{5}))
-	b := MustSet(MustRect(MustSpace("j"), []int64{0}, []int64{5}))
-	if _, err := a.Subtract(b); err == nil {
-		t.Error("difference over different spaces should fail")
-	}
-}
-
-// TestQuickSubtractMatchesBruteForce property: difference cardinality
-// and membership over random 1-D interval unions match a model.
-func TestQuickSubtractMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	sp := MustSpace("i")
-	randUnion := func() (*Set, map[int64]bool) {
-		n := 1 + rng.Intn(3)
-		model := make(map[int64]bool)
-		var parts []*BasicSet
-		for k := 0; k < n; k++ {
-			lo := int64(rng.Intn(40) - 20)
-			hi := lo + int64(rng.Intn(15))
-			parts = append(parts, MustRect(sp, []int64{lo}, []int64{hi}))
-			for v := lo; v < hi; v++ {
-				model[v] = true
-			}
-		}
-		return MustSet(parts...), model
-	}
-	for trial := 0; trial < 60; trial++ {
-		a, ma := randUnion()
-		b, mb := randUnion()
-		d, err := a.Subtract(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(0)
-		for v := int64(-25); v < 40; v++ {
-			in := ma[v] && !mb[v]
-			if in {
-				want++
-			}
-			if d.Contains([]int64{v}) != in {
-				t.Fatalf("trial %d: Contains(%d) = %v, want %v", trial, v, d.Contains([]int64{v}), in)
-			}
-		}
-		n, err := d.Card()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != want {
-			t.Fatalf("trial %d: Card = %d, want %d", trial, n, want)
-		}
-	}
-}
-
 // TestQuickUnionMatchesBruteForce property: union/intersection
 // cardinalities over random 1-D interval collections match a brute-force
 // membership model.

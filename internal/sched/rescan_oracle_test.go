@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"testing"
 
 	"locsched/internal/sharing"
 	"locsched/internal/taskgraph"
@@ -15,8 +16,7 @@ import (
 // recomputes the pairwise sharing totals of the first-quantum deferral
 // loop each round. It is O(P² log P) in the process count and is kept
 // verbatim as the differential oracle for the incremental
-// LocalitySchedule, which must be bit-identical to it (the goldens in
-// testdata/ pin both).
+// LocalitySchedule, which must be bit-identical to it.
 func LocalityScheduleRescan(g *taskgraph.Graph, m *sharing.Matrix, cores int) (*Assignment, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("sched: cores %d must be positive", cores)
@@ -202,4 +202,34 @@ func sortedIDs(pool map[taskgraph.ProcID]bool, scratch *[]taskgraph.ProcID) []ta
 	})
 	*scratch = out
 	return out
+}
+
+// BenchmarkLocalityScheduleXL measures the Figure 3 greedy on the XL
+// ladder's generated mixes (tasks = cores/4): the full-rescan oracle
+// against the incremental formulation.
+func BenchmarkLocalityScheduleXL(b *testing.B) {
+	for _, cores := range []int{128, 512, 1024} {
+		// Graph and matrix build inside the cores-level Run so filtered
+		// invocations skip the other rungs' setup (the 1024c matrix alone
+		// costs hundreds of milliseconds).
+		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
+			g, m := xlMixGraph(b, cores/4)
+			b.Run("rescan", func(b *testing.B) {
+				b.ReportMetric(float64(g.Len()), "procs")
+				for i := 0; i < b.N; i++ {
+					if _, err := LocalityScheduleRescan(g, m, cores); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("incremental", func(b *testing.B) {
+				b.ReportMetric(float64(g.Len()), "procs")
+				for i := 0; i < b.N; i++ {
+					if _, err := LocalitySchedule(g, m, cores); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }

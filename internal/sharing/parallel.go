@@ -1,9 +1,7 @@
 package sharing
 
 import (
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -12,14 +10,15 @@ import (
 	"locsched/internal/taskgraph"
 )
 
-// The blocked, parallel sharing-matrix construction. The sequential
-// Matrix path is O(P²) pairwise run-merges over the full data spaces; at
-// the 512–1024-core scenario scale (P in the thousands) that is the
-// analysis wall the ROADMAP names. This path makes three changes, all
+// The blocked, parallel sharing-matrix construction. The direct
+// construction is O(P²) pairwise run-merges over the full data spaces;
+// at the 512–1024-core scenario scale (P in the thousands) that is an
+// analysis wall. This construction makes three changes, all
 // value-preserving:
 //
 //   - data spaces are computed concurrently (one task per process) on a
-//     bounded worker pool against the shared, lock-protected Analyzer;
+//     bounded worker pool against the shared, lock-protected Analyzer,
+//     which deduplicates content-equal element sets;
 //   - every process's data space is summarized once into a footprint
 //     slice — per referenced array, the bounding interval of its element
 //     set (eset.Set.Bounds) — sorted by a dense array index, so a pair's
@@ -33,9 +32,10 @@ import (
 //     disjoint matrix cells and need no synchronization.
 //
 // Every cell is an exact int64 sum over the same intersections the
-// sequential path computes, so the result is bit-identical for any
-// worker count — the differential tests pin ComputeMatrixParallel
-// against Matrix for the Table 1 apps and generated XL mixes.
+// direct construction computes, so the result is bit-identical for any
+// worker count — the differential tests pin MatrixParallel against the
+// direct construction over ComputeDataSpace for the Table 1 apps and
+// generated XL mixes.
 
 // matrixTile is the tile edge of the blocked pair sweep. 128 keeps a
 // tile's summaries resident while being fine-grained enough to balance
@@ -90,14 +90,15 @@ func sharedBytes(a, b *footprint) int64 {
 
 // ComputeMatrixParallel builds the sharing matrix with the blocked,
 // parallel construction. workers ≤ 0 uses GOMAXPROCS; workers == 1 runs
-// the blocked path inline. The result is bit-identical to ComputeMatrix
+// the blocked path inline (ComputeMatrix). The result is bit-identical
 // for every worker count.
 func ComputeMatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, error) {
 	return NewAnalyzer().MatrixParallel(g, workers)
 }
 
-// MatrixParallel is the blocked, parallel counterpart of Matrix, reusing
-// the analyzer's memoized data spaces.
+// MatrixParallel builds the sharing matrix of Figure 2(a) with the
+// blocked, parallel construction, reusing the analyzer's memoized data
+// spaces.
 func (a *Analyzer) MatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -117,7 +118,7 @@ func (a *Analyzer) MatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, err
 	// Phase 1: data spaces, one task per process on the pool.
 	spaces := make([]DataSpace, n)
 	if err := fanOut(workers, n, func(i int) error {
-		ds, err := a.dataSpaceDeduped(g.Process(ids[i]).Spec)
+		ds, err := a.DataSpace(g.Process(ids[i]).Spec)
 		if err != nil {
 			return err
 		}
@@ -164,80 +165,6 @@ func (a *Analyzer) MatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, err
 		return nil
 	})
 	return m, nil
-}
-
-// setKey describes one array's element set by content: the iteration
-// space, every access map targeting the array (in reference order), and
-// the array's shape (dims drive LinearIndex; the element size is
-// included for completeness). Two array groups with equal keys enumerate
-// to value-identical sets, so the blocked path shares one immutable Set
-// between them.
-func setKey(spec *prog.ProcessSpec, arr *prog.Array) string {
-	var b strings.Builder
-	b.Grow(64)
-	fmt.Fprintf(&b, "%s|%v/%d", spec.IterSpace, arr.Dims, arr.Elem)
-	for _, r := range spec.Refs {
-		if r.Array == arr {
-			fmt.Fprintf(&b, "|%s", r.Map)
-		}
-	}
-	return b.String()
-}
-
-// dataSpaceDeduped returns the spec's data space, sharing per-array
-// element sets with previously analyzed content-equal array groups and
-// enumerating only novel ones. Results are value-identical to
-// ComputeDataSpace (the sequential oracle, which never consults the
-// content cache) — pinned by the matrix differential tests.
-func (a *Analyzer) dataSpaceDeduped(spec *prog.ProcessSpec) (DataSpace, error) {
-	a.mu.Lock()
-	if ds, ok := a.cache[spec]; ok {
-		a.mu.Unlock()
-		return ds, nil
-	}
-	arrs := spec.Arrays()
-	keys := make([]string, len(arrs))
-	ds := make(DataSpace, len(arrs))
-	complete := true
-	for i, arr := range arrs {
-		keys[i] = setKey(spec, arr)
-		if s, ok := a.sets[keys[i]]; ok {
-			ds[arr] = s
-		} else {
-			complete = false
-		}
-	}
-	a.mu.Unlock()
-	if !complete {
-		full, err := ComputeDataSpace(spec)
-		if err != nil {
-			return nil, err
-		}
-		a.mu.Lock()
-		for i, arr := range arrs {
-			s, ok := full[arr]
-			if !ok {
-				continue
-			}
-			// First content-equal set wins so concurrent computes converge
-			// on one shared value.
-			if prior, ok := a.sets[keys[i]]; ok {
-				s = prior
-			} else {
-				a.sets[keys[i]] = s
-			}
-			ds[arr] = s
-		}
-		a.mu.Unlock()
-	}
-	a.mu.Lock()
-	if prior, ok := a.cache[spec]; ok {
-		ds = prior
-	} else {
-		a.cache[spec] = ds
-	}
-	a.mu.Unlock()
-	return ds, nil
 }
 
 // summarize flattens one data space into a footprint summary, assigning

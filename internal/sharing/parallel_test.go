@@ -2,8 +2,11 @@ package sharing
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"locsched/internal/eset"
+	"locsched/internal/prog"
 	"locsched/internal/taskgraph"
 	"locsched/internal/workload"
 )
@@ -24,7 +27,7 @@ func matricesEqual(t *testing.T, want, got *Matrix) {
 	for _, a := range wids {
 		for _, b := range wids {
 			if w, g := want.Shared(a, b), got.Shared(a, b); w != g {
-				t.Fatalf("Shared(%v,%v): sequential %d, parallel %d", a, b, w, g)
+				t.Fatalf("Shared(%v,%v): want %d, got %d", a, b, w, g)
 			}
 		}
 	}
@@ -46,7 +49,7 @@ func xlGraph(t testing.TB, tasks int) *taskgraph.Graph {
 }
 
 // TestMatrixParallelMatchesSequential: the blocked, parallel construction
-// is bit-identical to the sequential pairwise path for every Table 1
+// is bit-identical to the sequential oracle for every Table 1
 // application and for generated XL mixes, at several worker counts.
 func TestMatrixParallelMatchesSequential(t *testing.T) {
 	var graphs []*taskgraph.Graph
@@ -71,7 +74,7 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 	labels = append(labels, "mix6", "xl8")
 
 	for gi, g := range graphs {
-		seq, err := ComputeMatrix(g)
+		seq, err := sequentialMatrix(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +108,7 @@ func TestMatrixParallelDeterminism512(t *testing.T) {
 		t.Fatal(err)
 	}
 	matricesEqual(t, w1, w4)
-	seq, err := ComputeMatrix(g)
+	seq, err := sequentialMatrix(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +116,8 @@ func TestMatrixParallelDeterminism512(t *testing.T) {
 }
 
 // TestMatrixParallelSharedAnalyzer: MatrixParallel reuses (and fills) the
-// analyzer's data-space memo, so a subsequent sequential Matrix on the
-// same analyzer recomputes nothing and still agrees.
+// analyzer's data-space memo, so a second construction on the same
+// analyzer recomputes nothing, and both agree with the oracle.
 func TestMatrixParallelSharedAnalyzer(t *testing.T) {
 	app, err := workload.Build("Usonic", 0, workload.Params{Scale: 2})
 	if err != nil {
@@ -125,11 +128,65 @@ func TestMatrixParallelSharedAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := an.Matrix(app.Graph)
+	if len(an.cache) != app.Graph.Len() {
+		t.Fatalf("memo holds %d data spaces, want %d", len(an.cache), app.Graph.Len())
+	}
+	memo := make(map[*prog.ProcessSpec]DataSpace, len(an.cache))
+	for spec, ds := range an.cache {
+		memo[spec] = ds
+	}
+	again, err := an.MatrixParallel(app.Graph, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for spec, ds := range an.cache {
+		if reflect.ValueOf(ds).UnsafePointer() != reflect.ValueOf(memo[spec]).UnsafePointer() {
+			t.Fatalf("%s: second construction recomputed the data space", spec.Name)
+		}
+	}
+	seq, err := sequentialMatrix(app.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	matricesEqual(t, seq, par)
+	matricesEqual(t, seq, again)
+}
+
+// TestDataSpaceDedupMatchesEnumeration: the analyzer's content-deduplicated
+// data spaces equal fresh enumerations for every process of a generated
+// mix whose tasks repeat app templates, and content-equal array groups
+// of different tasks share one element set.
+func TestDataSpaceDedupMatchesEnumeration(t *testing.T) {
+	g := xlGraph(t, 12)
+	an := NewAnalyzer()
+	shared := 0
+	seen := make(map[*eset.Set]*prog.Array)
+	for _, p := range g.Processes() {
+		got, err := an.DataSpace(p.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ComputeDataSpace(p.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d arrays, want %d", p.Spec.Name, len(got), len(want))
+		}
+		for arr, ws := range want {
+			gs, ok := got[arr]
+			if !ok || !gs.Equal(ws) {
+				t.Fatalf("%s: array %s: deduplicated set differs from enumeration", p.Spec.Name, arr.Name)
+			}
+			if prev, ok := seen[gs]; ok && prev != arr {
+				shared++
+			}
+			seen[gs] = arr
+		}
+	}
+	if shared == 0 {
+		t.Error("no element set was shared across content-equal arrays")
+	}
 }
 
 // TestMatrixIndexAccessors: Index/SharedAt agree with Shared for every

@@ -83,8 +83,6 @@ type Analyzer struct {
 	// space, access maps, array shape): generated XL mixes repeat a few
 	// app templates across hundreds of tasks, and every repetition's
 	// sets are value-identical even though the array objects differ.
-	// Only the blocked parallel path consults it (dataSpaceDeduped), so
-	// the sequential path stays an independent enumeration-based oracle.
 	sets map[string]*eset.Set
 }
 
@@ -96,17 +94,51 @@ func NewAnalyzer() *Analyzer {
 	}
 }
 
-// DataSpace returns the (memoized) data space of the spec.
+// DataSpace returns the (memoized) data space of the spec. Per-array
+// element sets are shared with previously analyzed content-equal array
+// groups, and only novel groups are enumerated. The result is
+// value-identical to ComputeDataSpace; the sets are immutable and may be
+// shared between data spaces.
 func (a *Analyzer) DataSpace(spec *prog.ProcessSpec) (DataSpace, error) {
 	a.mu.Lock()
-	ds, ok := a.cache[spec]
-	a.mu.Unlock()
-	if ok {
+	if ds, ok := a.cache[spec]; ok {
+		a.mu.Unlock()
 		return ds, nil
 	}
-	ds, err := ComputeDataSpace(spec)
-	if err != nil {
-		return nil, err
+	arrs := spec.Arrays()
+	keys := make([]string, len(arrs))
+	ds := make(DataSpace, len(arrs))
+	complete := true
+	for i, arr := range arrs {
+		keys[i] = setKey(spec, arr)
+		if s, ok := a.sets[keys[i]]; ok {
+			ds[arr] = s
+		} else {
+			complete = false
+		}
+	}
+	a.mu.Unlock()
+	if !complete {
+		full, err := ComputeDataSpace(spec)
+		if err != nil {
+			return nil, err
+		}
+		a.mu.Lock()
+		for i, arr := range arrs {
+			s, ok := full[arr]
+			if !ok {
+				continue
+			}
+			// First content-equal set wins so concurrent computes converge
+			// on one shared value.
+			if prior, ok := a.sets[keys[i]]; ok {
+				s = prior
+			} else {
+				a.sets[keys[i]] = s
+			}
+			ds[arr] = s
+		}
+		a.mu.Unlock()
 	}
 	a.mu.Lock()
 	// Concurrent computes of the same spec are idempotent; first store wins
@@ -120,27 +152,22 @@ func (a *Analyzer) DataSpace(spec *prog.ProcessSpec) (DataSpace, error) {
 	return ds, nil
 }
 
-// SharingSet returns the concrete sharing set SS between two processes
-// for one array — the set of linearized elements both touch
-// (SS_k,p = DS_k ∩ DS_p restricted to arr, Section 2 of the paper).
-func (a *Analyzer) SharingSet(p, q *prog.ProcessSpec, arr *prog.Array) (*eset.Set, error) {
-	dp, err := a.DataSpace(p)
-	if err != nil {
-		return nil, err
+// setKey describes one array's element set by content: the iteration
+// space, every access map targeting the array (in reference order), and
+// the array's shape (dims drive LinearIndex; the element size is
+// included for completeness). Two array groups with equal keys enumerate
+// to value-identical sets, so the analyzer shares one immutable Set
+// between them.
+func setKey(spec *prog.ProcessSpec, arr *prog.Array) string {
+	var b strings.Builder
+	b.Grow(64)
+	fmt.Fprintf(&b, "%s|%v/%d", spec.IterSpace, arr.Dims, arr.Elem)
+	for _, r := range spec.Refs {
+		if r.Array == arr {
+			fmt.Fprintf(&b, "|%s", r.Map)
+		}
 	}
-	dq, err := a.DataSpace(q)
-	if err != nil {
-		return nil, err
-	}
-	sp, ok := dp[arr]
-	if !ok {
-		return eset.Empty(), nil
-	}
-	sq, ok := dq[arr]
-	if !ok {
-		return eset.Empty(), nil
-	}
-	return sp.Intersect(sq), nil
+	return b.String()
 }
 
 // Matrix is the sharing matrix M of the paper's Figure 2(a): for processes
@@ -152,39 +179,11 @@ type Matrix struct {
 	vals [][]int64
 }
 
-// ComputeMatrix builds the sharing matrix for every process in the graph.
+// ComputeMatrix builds the sharing matrix for every process in the graph
+// on the calling goroutine (the blocked construction of MatrixParallel
+// with one worker).
 func ComputeMatrix(g *taskgraph.Graph) (*Matrix, error) {
-	return NewAnalyzer().Matrix(g)
-}
-
-// Matrix builds the sharing matrix for every process in the graph, using
-// the analyzer's memoized data spaces.
-func (a *Analyzer) Matrix(g *taskgraph.Graph) (*Matrix, error) {
-	ids := g.ProcIDs()
-	m := &Matrix{
-		ids:  ids,
-		pos:  make(map[taskgraph.ProcID]int, len(ids)),
-		vals: make([][]int64, len(ids)),
-	}
-	spaces := make([]DataSpace, len(ids))
-	for i, id := range ids {
-		m.pos[id] = i
-		ds, err := a.DataSpace(g.Process(id).Spec)
-		if err != nil {
-			return nil, err
-		}
-		spaces[i] = ds
-		m.vals[i] = make([]int64, len(ids))
-	}
-	for i := range ids {
-		m.vals[i][i] = spaces[i].FootprintBytes()
-		for j := i + 1; j < len(ids); j++ {
-			s := spaces[i].SharedBytes(spaces[j])
-			m.vals[i][j] = s
-			m.vals[j][i] = s
-		}
-	}
-	return m, nil
+	return NewAnalyzer().MatrixParallel(g, 1)
 }
 
 // Len returns the number of processes.

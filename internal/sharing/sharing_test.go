@@ -248,34 +248,6 @@ func TestDataSpaceUnboundedIterSpaceFails(t *testing.T) {
 	}
 }
 
-func TestSharingSet(t *testing.T) {
-	arr := prog.MustArray("A", 4, 1000)
-	other := prog.MustArray("B", 4, 1000)
-	iter1 := prog.Seg("i", 0, 200)
-	iter2 := prog.Seg("i", 100, 300)
-	p := prog.MustProcessSpec("p", iter1, 0, prog.StreamRef(arr, prog.Read, iter1, 1, 0))
-	q := prog.MustProcessSpec("q", iter2, 0, prog.StreamRef(arr, prog.Read, iter2, 1, 0))
-	an := NewAnalyzer()
-	ss, err := an.SharingSet(p, q, arr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Card() != 100 {
-		t.Errorf("|SS| = %d, want 100", ss.Card())
-	}
-	if !ss.Contains(150) || ss.Contains(50) || ss.Contains(250) {
-		t.Error("sharing set bounds wrong")
-	}
-	// Array untouched by either process → empty.
-	none, err := an.SharingSet(p, q, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !none.IsEmpty() {
-		t.Error("sharing on an untouched array should be empty")
-	}
-}
-
 func TestMatrixString(t *testing.T) {
 	g := figure1Task(t)
 	m, err := ComputeMatrix(g)

@@ -5,6 +5,7 @@ import (
 
 	"locsched/internal/layout"
 	"locsched/internal/prog"
+	"locsched/internal/workload"
 )
 
 func benchSpec() (*prog.ProcessSpec, layout.AddressMap) {
@@ -17,55 +18,32 @@ func benchSpec() (*prog.ProcessSpec, layout.AddressMap) {
 	return spec, layout.MustPack(32, arr)
 }
 
-// TestCursorNextZeroAlloc asserts the acceptance criterion directly:
-// steady-state Cursor.Next allocates nothing.
+// TestCursorNextZeroAlloc asserts steady-state RLECursor.Next allocates
+// nothing while crossing segment boundaries: a relayouted array splits
+// the stream into one segment per half-page seam.
 func TestCursorNextZeroAlloc(t *testing.T) {
-	spec, am := benchSpec()
-	cur, err := NewGenerator(am).NewCursor(spec)
+	arr := prog.MustArray("A", 4, 1<<14)
+	iter := prog.Seg("i", 0, 1<<14)
+	spec := prog.MustProcessSpec("p", iter, 1, prog.StreamRef(arr, prog.Read, iter, 1, 0))
+	geom := testGeomFor()
+	rl, err := layout.ApplyRelayout(layout.MustPack(32, arr), geom, map[*prog.Array]int64{arr: geom.PageSize() / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(10000, func() {
+	cur, err := NewGenerator(rl).NewRLECursor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cur.Stream().NumSegs(); n < 8 {
+		t.Fatalf("relayouted stream has %d segments, want many", n)
+	}
+	allocs := testing.AllocsPerRun(50000, func() {
 		if _, ok := cur.Next(); !ok {
 			cur.Reset()
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Cursor.Next allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// BenchmarkTraceCompile measures compiling one (spec, address map) pair
-// into a flat stream, bypassing the generator and package caches.
-func BenchmarkTraceCompile(b *testing.B) {
-	spec, am := benchSpec()
-	var s *Stream
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = compile(spec, am)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(s.Len()), "accesses")
-}
-
-// BenchmarkTraceCompileCached measures the cross-run path: the stream is
-// already in the package cache, so a fresh generator only pays the
-// signature lookup.
-func BenchmarkTraceCompileCached(b *testing.B) {
-	spec, am := benchSpec()
-	if _, err := NewGenerator(am).Stream(spec); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewGenerator(am).Stream(spec); err != nil {
-			b.Fatal(err)
-		}
+		t.Errorf("RLECursor.Next allocates %.1f objects/op across segments, want 0", allocs)
 	}
 }
 
@@ -128,18 +106,39 @@ func BenchmarkRLECursorNext(b *testing.B) {
 	}
 }
 
-// BenchmarkCursorNext measures per-access stream consumption.
-func BenchmarkCursorNext(b *testing.B) {
-	spec, am := benchSpec()
-	cur, err := NewGenerator(am).NewCursor(spec)
+// BenchmarkStreamMemory reports the resident compiled-stream bytes of
+// the whole Table 1 suite (scale 2) under the packed base layout in the
+// strided RLE encoding and in the flat oracle form it replaced: the ≥4×
+// reduction criterion, measured.
+func BenchmarkStreamMemory(b *testing.B) {
+	apps, err := workload.BuildAll(workload.Params{Scale: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	var flatBytes, rleBytes int64
 	for i := 0; i < b.N; i++ {
-		if _, ok := cur.Next(); !ok {
-			cur.Reset()
+		flatBytes, rleBytes = 0, 0
+		for _, app := range apps {
+			base, err := layout.Pack(32, app.Arrays...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen := NewGenerator(base)
+			for _, p := range app.Graph.Processes() {
+				flat, err := gen.Stream(p.Spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rle, err := gen.RLE(p.Spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				flatBytes += flat.MemBytes()
+				rleBytes += rle.MemBytes()
+			}
 		}
 	}
+	b.ReportMetric(float64(flatBytes), "flat_bytes")
+	b.ReportMetric(float64(rleBytes), "rle_bytes")
+	b.ReportMetric(float64(flatBytes)/float64(rleBytes), "reduction×")
 }

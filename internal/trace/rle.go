@@ -19,12 +19,12 @@ import (
 //
 //	addr = starts[j] + t·delta[j],  flags = Flags[j]
 //
-// which reproduces the flat stream bit for bit (segment lanes are the
-// {base, stride, count, flags} runs of the encoding). Identical delta
-// patterns are deduplicated across segments — a relayouted array breaks
-// its stream at every half-page seam into many segments that all share
-// one pattern — so resident bytes scale with the number of strided
-// phases, not with trace length.
+// which reproduces the access-by-access stream bit for bit (segment
+// lanes are the {base, stride, count, flags} runs of the encoding).
+// Identical delta patterns are deduplicated across segments — a
+// relayouted array breaks its stream at every half-page seam into many
+// segments that all share one pattern — so resident bytes scale with the
+// number of strided phases, not with trace length.
 //
 // RLEStreams are immutable after compilation and safe to share.
 type RLEStream struct {
@@ -88,18 +88,14 @@ func (s *RLEStream) MemBytes() int64 {
 		int64(len(s.flags))
 }
 
-// rleCache shares compiled RLE streams across runs, keyed and bounded
-// like streamCache (the shared boundedCache holds the protocol).
-var rleCache boundedCache[*RLEStream]
+// rleCache shares compiled RLE streams across generators and runs.
+var rleCache boundedCache
 
 // RLE returns the strided run-length encoding of the spec's stream,
-// compiling it on first use. Like Stream, compiled encodings are shared
-// across generators and runs when the address map states its addressing
-// in closed form.
+// compiling it on first use. Compiled encodings are shared across
+// generators and runs when the address map states its addressing in
+// closed form.
 func (g *Generator) RLE(spec *prog.ProcessSpec) (*RLEStream, error) {
-	if g.rles == nil {
-		g.rles = make(map[*prog.ProcessSpec]*RLEStream)
-	}
 	if s, ok := g.rles[spec]; ok {
 		return s, nil
 	}
@@ -128,10 +124,9 @@ func compileRLE(spec *prog.ProcessSpec, am layout.AddressMap) (*RLEStream, error
 	s := &RLEStream{nrefs: nrefs, flags: make([]byte, nrefs)}
 	if nrefs == 0 {
 		// prog.NewProcessSpec rejects empty Refs, but hand-rolled specs can
-		// reach here. A zero-reference process has an empty flat stream
-		// (immediately Done), so encode no segments rather than
-		// iteration-counting ones — the engines must agree that such a
-		// process is already complete.
+		// reach here. A zero-reference process makes no accesses, so
+		// encode no segments rather than iteration-counting ones: its
+		// cursor is Done from the start.
 		s.cumIters = []int64{0}
 		return s, nil
 	}
@@ -230,8 +225,8 @@ func patMatches(pats []int64, p int32, nrefs int, delta []int64) bool {
 	return true
 }
 
-// RLECursor walks a run-length-encoded stream in exact flat-stream order:
-// for each iteration of each segment, each reference in program order.
+// RLECursor walks a run-length-encoded stream access by access: for
+// each iteration of each segment, each reference in program order.
 // The position is the (segment, iteration-in-segment, reference) triple,
 // so preemptive schedulers can stop a process mid-iteration and resume
 // it later, possibly on a different core.

@@ -177,8 +177,7 @@ func TestRLEMemoryReduction(t *testing.T) {
 
 // TestRLEZeroRefSpec: a hand-rolled spec with no references (rejected by
 // prog.NewProcessSpec but constructible directly) has an empty flat
-// stream; the RLE encoding must agree that the process is already done,
-// so both engines treat it identically.
+// stream; the RLE encoding must agree that the process is already done.
 func TestRLEZeroRefSpec(t *testing.T) {
 	arr := prog.MustArray("zr.A", 4, 16)
 	am := layout.MustPack(32, arr)

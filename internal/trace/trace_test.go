@@ -132,33 +132,43 @@ func TestCursorReset(t *testing.T) {
 
 func TestGeneratorMemoizesStreams(t *testing.T) {
 	g, spec, _ := testSetup(t)
-	c1, err := g.NewCursor(spec)
+	c1, err := g.NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := g.NewCursor(spec)
+	c2, err := g.NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both cursors share the same compiled stream.
-	if c1.s == nil || c2.s == nil {
+	if c1.Stream() == nil || c2.Stream() == nil {
 		t.Fatal("stream missing")
 	}
-	if c1.s != c2.s {
+	if c1.Stream() != c2.Stream() {
 		t.Error("cursors should share the compiled stream")
+	}
+	// A second generator over the same closed-form address map reuses
+	// the package-level cache.
+	c3, err := NewGenerator(g.AddressMap()).NewRLECursor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c3.Stream() != c1.Stream() {
+		t.Error("generators over one address map should share the compiled stream")
 	}
 	// Advancing one must not affect the other.
 	c1.Next()
-	if c2.pos != 0 {
-		t.Error("cursors must be independent")
+	if seg, iter, ref := c2.Pos(); seg != 0 || iter != 0 || ref != 0 {
+		t.Errorf("cursors must be independent: c2 at (%d,%d,%d)", seg, iter, ref)
 	}
 }
 
 func TestCursorRespectsRelayout(t *testing.T) {
 	// A cursor over a re-laid-out address map must see transformed
-	// addresses.
+	// addresses, across the half-page seams where the RLE encoding cuts
+	// its segments.
 	a := prog.MustArray("A", 4, 2048)
-	iter := prog.Seg("i", 0, 5)
+	iter := prog.Seg("i", 0, 2048)
 	spec := prog.MustProcessSpec("p", iter, 0, prog.StreamRef(a, prog.Read, iter, 1, 0))
 	base := layout.MustPack(32, a)
 	geom := testGeomFor()
@@ -166,18 +176,28 @@ func TestCursorRespectsRelayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewGenerator(rl).NewCursor(spec)
+	c, err := NewGenerator(rl).NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, ok := c.Next()
-	if !ok {
-		t.Fatal("empty stream")
+	if c.Stream().NumSegs() < 2 {
+		t.Fatalf("relayouted stream has %d segments, want a seam", c.Stream().NumSegs())
 	}
-	if acc.Addr != rl.Addr(a, 0) {
-		t.Errorf("addr = %d, want %d", acc.Addr, rl.Addr(a, 0))
+	moved := false
+	for i := int64(0); ; i++ {
+		acc, ok := c.Next()
+		if !ok {
+			if i != 2048 {
+				t.Fatalf("stream ended after %d accesses, want 2048", i)
+			}
+			break
+		}
+		if acc.Addr != rl.Addr(a, i) {
+			t.Fatalf("access %d: addr = %d, want %d", i, acc.Addr, rl.Addr(a, i))
+		}
+		moved = moved || acc.Addr != base.Addr(a, i)
 	}
-	if acc.Addr == base.Addr(a, 0) {
-		t.Error("re-laid-out address should differ from the packed address")
+	if !moved {
+		t.Error("re-laid-out addresses should differ from the packed ones")
 	}
 }

@@ -211,15 +211,16 @@ func NewProcessSpec(name string, iter *IterSpace, computePerIter int64, refs ...
 }
 
 // ComputeSharing builds the paper's sharing matrix (Figure 2a) for a
-// graph: shared bytes between every pair of processes.
+// graph: shared bytes between every pair of processes. It is
+// ComputeSharingParallel with one worker.
 func ComputeSharing(g *Graph) (*SharingMatrix, error) {
 	return sharing.ComputeMatrix(g)
 }
 
 // ComputeSharingParallel builds the sharing matrix with the blocked,
-// parallel construction (tiled pair space, footprint-interval early
-// rejection, `workers` goroutines; ≤ 0 means GOMAXPROCS). The result is
-// bit-identical to ComputeSharing for every worker count.
+// parallel construction (content-deduplicated data spaces, tiled pair
+// space, footprint-interval early rejection, `workers` goroutines; ≤ 0
+// means GOMAXPROCS). The result is bit-identical for every worker count.
 func ComputeSharingParallel(g *Graph, workers int) (*SharingMatrix, error) {
 	return sharing.ComputeMatrixParallel(g, workers)
 }
