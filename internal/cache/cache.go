@@ -133,6 +133,19 @@ func (s *Stats) Add(o Stats) {
 	s.Writebacks += o.Writebacks
 }
 
+// Sub returns s − o field by field: the counts accumulated between two
+// snapshots.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Accesses:   s.Accesses - o.Accesses,
+		Hits:       s.Hits - o.Hits,
+		Cold:       s.Cold - o.Cold,
+		Capacity:   s.Capacity - o.Capacity,
+		Conflict:   s.Conflict - o.Conflict,
+		Writebacks: s.Writebacks - o.Writebacks,
+	}
+}
+
 type line struct {
 	tag   int64
 	valid bool

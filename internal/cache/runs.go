@@ -1,6 +1,6 @@
 package cache
 
-// Batched entry points for run-length-encoded simulation. Both methods
+// Batched entry points for run-length-encoded simulation. All three
 // are exact: they produce the same stats, tick counter, per-line recency
 // and dirty state, shadow-directory order, and replacement-RNG state as
 // the equivalent sequence of AccessRW calls, which the differential
@@ -118,5 +118,67 @@ func (c *Cache) TryAccessHitIters(blocks []int64, writes []bool, iters int64) bo
 	c.tick = final
 	c.stats.Accesses += total
 	c.stats.Hits += total
+	return true
+}
+
+// RepeatWarmup returns how many consecutive full per-access iterations
+// of a reference group RepeatIters needs behind it, or 0 when the
+// replacement policy admits no replay (FIFO and random).
+//
+// Under LRU, one full iteration of a fixed group with nothing else
+// touching the cache leaves every touched set's contents and recency
+// order, the shadow directory and the cold-miss bitset in a canonical
+// state that the next iteration reproduces: a set touched by m ≥ assoc
+// distinct group blocks holds the assoc most recent of them, and one
+// touched by fewer holds them all and misses no more. A second
+// iteration makes the dirty bits canonical too, since every line a
+// later iteration evicts was then last filled inside the window. So
+// under write-through the second iteration's stats delta repeats
+// forever, and under write-back the third's does.
+func (c *Cache) RepeatWarmup() int {
+	switch {
+	case c.repl != LRU:
+		return 0
+	case c.write == WriteBack:
+		return 3
+	default:
+		return 2
+	}
+}
+
+// RepeatIters replays iters further iterations of the reference group
+// blocks (one access per element, in order) from their fixed point in
+// O(len(blocks)). The caller guarantees that the cache's last
+// RepeatWarmup() × len(blocks) accesses were full iterations of this
+// group, made per access with nothing in between, and passes the stats
+// delta of the last one as perIter. Every further iteration then
+// repeats that delta and leaves the same lines, dirty bits and shadow
+// order behind (see RepeatWarmup); only the recency of the group's
+// resident lines moves, to the tick of its last touch in the final
+// iteration. Returns false, leaving the cache untouched, when the
+// replacement policy is not LRU.
+func (c *Cache) RepeatIters(blocks []int64, perIter Stats, iters int64) bool {
+	if c.repl != LRU {
+		return false
+	}
+	r := int64(len(blocks))
+	if iters <= 0 || r == 0 {
+		return true
+	}
+	final := c.tick + iters*r
+	for j, b := range blocks {
+		// A duplicate block's later reference overwrites the earlier
+		// one's recency, as per-access simulation would.
+		if li := c.findLine(b); li >= 0 {
+			c.lines[li].used = final - (r - 1 - int64(j))
+		}
+	}
+	c.tick = final
+	c.stats.Accesses += iters * perIter.Accesses
+	c.stats.Hits += iters * perIter.Hits
+	c.stats.Cold += iters * perIter.Cold
+	c.stats.Capacity += iters * perIter.Capacity
+	c.stats.Conflict += iters * perIter.Conflict
+	c.stats.Writebacks += iters * perIter.Writebacks
 	return true
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -22,20 +23,34 @@ func runsTestOptions() map[string][]Option {
 // so diverging recency or shadow state surfaces as a different class).
 func drain(t *testing.T, name string, a, b *Cache) {
 	t.Helper()
+	if msg := diverge(a, b, 20000, 1<<16); msg != "" {
+		t.Fatalf("%s: %s", name, msg)
+	}
+}
+
+// diverge runs the same seeded probe stream of n accesses over
+// addresses [0, span) on a (the bulk cache) and b (the per-access one)
+// and describes the first difference in classification, writeback or
+// final stats; "" when there is none.
+func diverge(a, b *Cache, n int, span int64) string {
+	if a.Stats() != b.Stats() {
+		return fmt.Sprintf("stats diverge: bulk %+v, per-access %+v", a.Stats(), b.Stats())
+	}
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 20000; i++ {
-		addr := int64(rng.Intn(1 << 16))
+	for i := 0; i < n; i++ {
+		addr := rng.Int63n(span)
 		write := rng.Intn(4) == 0
 		ca, wa := a.AccessRW(addr, write)
 		cb, wb := b.AccessRW(addr, write)
 		if ca != cb || wa != wb {
-			t.Fatalf("%s: probe %d (addr %d): bulk cache says (%v,%v), per-access says (%v,%v)",
-				name, i, addr, ca, wa, cb, wb)
+			return fmt.Sprintf("probe %d (addr %d): bulk cache says (%v,%v), per-access says (%v,%v)",
+				i, addr, ca, wa, cb, wb)
 		}
 	}
 	if !reflect.DeepEqual(a.Stats(), b.Stats()) {
-		t.Fatalf("%s: stats diverge after probe: bulk %+v, per-access %+v", name, a.Stats(), b.Stats())
+		return fmt.Sprintf("stats diverge after probe: bulk %+v, per-access %+v", a.Stats(), b.Stats())
 	}
+	return ""
 }
 
 // TestAccessRunMatchesPerAccess: AccessRun(addr, n, w) is
@@ -206,4 +221,239 @@ func BenchmarkAccessHitIters(b *testing.B) {
 		}
 	}
 	b.ReportMetric(24, "accesses/op")
+}
+
+// BenchmarkRepeatIters measures replaying 8 iterations of a 3-reference
+// group that thrashes one set (24 accesses) in one call, the per-window
+// cost of a conflict-bound window once its warm-up has run.
+func BenchmarkRepeatIters(b *testing.B) {
+	c := MustNew(benchGeom(), WithClassification())
+	warm(c, 64<<10)
+	sets := benchGeom().NumSets()
+	blocks := []int64{0, sets, 2 * sets} // three blocks, one 2-way set
+	var before Stats
+	for w := c.RepeatWarmup(); w > 0; w-- {
+		before = c.Stats()
+		for _, blk := range blocks {
+			c.AccessRW(blk*32, false)
+		}
+	}
+	perIter := c.Stats().Sub(before)
+	if perIter.Hits == perIter.Accesses {
+		b.Fatal("group does not thrash")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.RepeatIters(blocks, perIter, 8) {
+			b.Fatal("replay refused")
+		}
+	}
+	b.ReportMetric(24, "accesses/op")
+}
+
+// repeatBlockSize is the block size of the 4-line caches RepeatIters is
+// checked on: small enough that random groups both thrash and fit.
+const repeatBlockSize = 16
+
+// blockAccess is one access to a whole block.
+type blockAccess struct {
+	block int64
+	write bool
+}
+
+// repeatGeom is a 4-line cache: small enough that random groups both
+// thrash and fit.
+func repeatGeom(assoc int) Geometry {
+	return Geometry{Size: 4 * repeatBlockSize, BlockSize: repeatBlockSize, Assoc: assoc}
+}
+
+// replayRepeat resets two equal caches, drives the prior traffic and
+// then warmup full iterations of the group through both per access, and
+// then runs iters further iterations: per access on ref, and on bulk by
+// RepeatIters from the stats delta of the last warm-up iteration, which
+// it returns.
+func replayRepeat(t *testing.T, bulk, ref *Cache, prior, group []blockAccess, warmup int, iters int64) (perIter Stats) {
+	t.Helper()
+	bulk.Reset()
+	ref.Reset()
+	both := func(a blockAccess) {
+		bulk.AccessRW(a.block*repeatBlockSize, a.write)
+		ref.AccessRW(a.block*repeatBlockSize, a.write)
+	}
+	for _, a := range prior {
+		both(a)
+	}
+	for w := 0; w < warmup; w++ {
+		before := bulk.Stats()
+		for _, a := range group {
+			both(a)
+		}
+		perIter = bulk.Stats().Sub(before)
+	}
+	blocks := make([]int64, len(group))
+	for j, a := range group {
+		blocks[j] = a.block
+	}
+	if !bulk.RepeatIters(blocks, perIter, iters) {
+		t.Fatalf("RepeatIters refused an LRU cache")
+	}
+	for it := int64(0); it < iters; it++ {
+		for _, a := range group {
+			ref.AccessRW(a.block*repeatBlockSize, a.write)
+		}
+	}
+	return perIter
+}
+
+// checkRepeat is replayRepeat on fresh caches of the given variant,
+// followed by a probe that must find bulk and ref indistinguishable.
+func checkRepeat(t *testing.T, opts []Option, assoc int, prior, group []blockAccess, warmup int, iters int64) string {
+	t.Helper()
+	bulk, ref := MustNew(repeatGeom(assoc), opts...), MustNew(repeatGeom(assoc), opts...)
+	replayRepeat(t, bulk, ref, prior, group, warmup, iters)
+	return diverge(bulk, ref, 64, 16*repeatBlockSize)
+}
+
+// repeatOptions are the LRU variants RepeatIters replays.
+func repeatOptions() map[string][]Option {
+	opts := runsTestOptions()
+	delete(opts, "classified-fifo")
+	return opts
+}
+
+// TestRepeatItersMatchesPerAccess: after RepeatWarmup full iterations
+// per access, replaying further iterations of a group from the last
+// one's stats delta is indistinguishable from simulating them — stats
+// and all later behaviour — for random groups with duplicate blocks,
+// random prior traffic drawn partly from the group, direct-mapped and
+// 2-way 4-line caches, with and without classification and write-back.
+func TestRepeatItersMatchesPerAccess(t *testing.T) {
+	for name, opts := range repeatOptions() {
+		for _, assoc := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/%dway", name, assoc), func(t *testing.T) {
+				bulk, ref := MustNew(repeatGeom(assoc), opts...), MustNew(repeatGeom(assoc), opts...)
+				warmup := bulk.RepeatWarmup()
+				rng := rand.New(rand.NewSource(13))
+				var thrashing, writebacks int
+				for trial := 0; trial < 5000; trial++ {
+					group := make([]blockAccess, rng.Intn(5)+1)
+					for j := range group {
+						group[j] = blockAccess{int64(rng.Intn(12)), rng.Intn(3) == 0}
+						if j > 0 && rng.Intn(4) == 0 {
+							group[j].block = group[rng.Intn(j)].block
+						}
+					}
+					prior := make([]blockAccess, rng.Intn(8))
+					for i := range prior {
+						prior[i] = blockAccess{int64(rng.Intn(12)), rng.Intn(2) == 0}
+						if rng.Intn(2) == 0 {
+							prior[i].block = group[rng.Intn(len(group))].block
+						}
+					}
+					perIter := replayRepeat(t, bulk, ref, prior, group, warmup, int64(rng.Intn(10)+1))
+					if perIter.Hits < perIter.Accesses {
+						thrashing++
+					}
+					if perIter.Writebacks > 0 {
+						writebacks++
+					}
+					if msg := diverge(bulk, ref, 64, 16*repeatBlockSize); msg != "" {
+						t.Fatalf("trial %d (prior %v, group %v): %s", trial, prior, group, msg)
+					}
+				}
+				if thrashing == 0 {
+					t.Fatal("no trial replayed a thrashing group")
+				}
+				if name == "writeback" && writebacks == 0 {
+					t.Fatal("no write-back trial replayed writebacks")
+				}
+			})
+		}
+	}
+}
+
+// TestRepeatItersWritebackWarmup pins why write-back needs a third
+// warm-up iteration. In one 2-way set, v is written before the window
+// and is MRU; the read-only group [a, v, b] then thrashes. Iteration 1
+// hits v and keeps it dirty; iteration 2 evicts the dirty v (one
+// writeback) and refills it clean; iteration 3 and every later one
+// write nothing back. Replaying from iteration 2's delta would count a
+// writeback per replayed iteration.
+func TestRepeatItersWritebackWarmup(t *testing.T) {
+	const a, v, b = 0, 2, 4 // even blocks: all in set 0 of 2
+	opts := repeatOptions()["writeback"]
+	prior := []blockAccess{{v, true}}
+	group := []blockAccess{{a, false}, {v, false}, {b, false}}
+	bulk, ref := MustNew(repeatGeom(2), opts...), MustNew(repeatGeom(2), opts...)
+	for warmup, want := range map[int]int64{1: 0, 2: 1, 3: 0} {
+		if perIter := replayRepeat(t, bulk, ref, prior, group, warmup, 1); perIter.Writebacks != want {
+			t.Errorf("iteration %d wrote back %d lines, want %d", warmup, perIter.Writebacks, want)
+		}
+	}
+	if w := bulk.RepeatWarmup(); w != 3 {
+		t.Fatalf("write-back RepeatWarmup = %d, want 3", w)
+	}
+	if msg := checkRepeat(t, opts, 2, prior, group, 3, 5); msg != "" {
+		t.Fatalf("warm-up 3: %s", msg)
+	}
+	if checkRepeat(t, opts, 2, prior, group, 2, 5) == "" {
+		t.Fatal("warm-up 2 replayed exactly; the pinned counterexample no longer distinguishes 2 from 3")
+	}
+}
+
+// TestRepeatItersRefusesNonLRU: FIFO and random replacement admit no
+// fixed-point replay; RepeatWarmup reports 0 and RepeatIters refuses,
+// leaving the cache untouched.
+func TestRepeatItersRefusesNonLRU(t *testing.T) {
+	for _, repl := range []Replacement{FIFO, RandomRepl} {
+		c := MustNew(repeatGeom(2), WithClassification(), WithReplacement(repl))
+		c.AccessRW(0, false)
+		before := c.Stats()
+		if w := c.RepeatWarmup(); w != 0 {
+			t.Errorf("%v: RepeatWarmup = %d, want 0", repl, w)
+		}
+		if c.RepeatIters([]int64{0}, Stats{Accesses: 1, Hits: 1}, 4) {
+			t.Errorf("%v: RepeatIters accepted", repl)
+		}
+		if c.Stats() != before {
+			t.Errorf("%v: refusal mutated stats: %+v -> %+v", repl, before, c.Stats())
+		}
+	}
+}
+
+// FuzzRepeatIters checks the RepeatIters contract on fuzzed groups and
+// prior traffic. mode picks the variant (plain, classified, writeback)
+// and the associativity (1 or 2); data[0] sets the group size (1–5), the
+// next bytes the group and the rest the prior traffic, one access per
+// byte: block = (byte>>1)%12, write = byte&1.
+func FuzzRepeatIters(f *testing.F) {
+	f.Add(byte(5), byte(4), []byte{2, 0, 4, 8, 5}) // TestRepeatItersWritebackWarmup
+	f.Add(byte(2), byte(7), []byte{4, 1, 3, 0, 2, 8, 3, 3, 6})
+	f.Add(byte(0), byte(1), []byte{1, 0, 2})
+	f.Add(byte(4), byte(9), []byte{3, 1, 9, 17, 5, 1, 7})
+	names := []string{"plain", "classified", "writeback"}
+	f.Fuzz(func(t *testing.T, mode, iters byte, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		r := int(data[0]%5) + 1
+		if len(data) < 1+r {
+			return
+		}
+		decode := func(bs []byte) []blockAccess {
+			out := make([]blockAccess, len(bs))
+			for i, x := range bs {
+				out[i] = blockAccess{int64(x>>1) % 12, x&1 == 1}
+			}
+			return out
+		}
+		group, prior := decode(data[1:1+r]), decode(data[1+r:])
+		opts := repeatOptions()[names[int(mode)%3]]
+		assoc := int(mode/3)%2 + 1
+		warmup := MustNew(repeatGeom(assoc), opts...).RepeatWarmup()
+		if msg := checkRepeat(t, opts, assoc, prior, group, warmup, int64(iters%16)+1); msg != "" {
+			t.Fatalf("prior %v, group %v: %s", prior, group, msg)
+		}
+	})
 }

@@ -119,7 +119,7 @@ type procCursor struct {
 // segmentFunc executes one dispatched segment of cur on cache c until
 // completion or quantum expiry (quantum 0 = no limit), returning the
 // consumed cycles. blockScratch and writeScratch are the Runner's
-// scratch buffers, sized to the widest reference group.
+// scratch buffers, sized to twice and once the widest reference group.
 type segmentFunc func(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64,
 	blockScratch []int64, writeScratch []bool) (cycles int64, completed bool)
 
@@ -164,8 +164,8 @@ type Runner struct {
 	// cfg.MissPenalty, so dispatch arithmetic is unchanged bit for bit.
 	coreHitLat   []int64
 	coreMissBase []int64
-	// scratch for runSegmentRLE's iteration fast-forward, sized to the
-	// widest reference group.
+	// scratch for runSegmentRLE: the window's blocks and crossing counters
+	// (2× the widest reference group) and its write flags (1×).
 	blockScratch []int64
 	writeScratch []bool
 }
@@ -227,7 +227,7 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 	return &Runner{
 		g: g, cfg: cfg, cursors: cursors, caches: caches, segment: runSegmentRLE,
 		coreHitLat: coreHitLat, coreMissBase: coreMissBase,
-		blockScratch: make([]int64, maxRefs),
+		blockScratch: make([]int64, 2*maxRefs),
 		writeScratch: make([]bool, maxRefs),
 	}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"locsched/internal/sched"
 	"locsched/internal/sharing"
 	"locsched/internal/taskgraph"
+	"locsched/internal/trace"
 	"locsched/internal/workload"
 )
 
@@ -110,8 +111,10 @@ func rleDiffDispatchers(t *testing.T) map[string]func() Dispatcher {
 // oracleAxisConfigs returns further machine axes the engine is held to
 // the per-access oracle under: the non-LRU replacement policies (the
 // batched cache entry points have FIFO and random arms), both prime-hash
-// set indexings, and a 4 KB direct-mapped cache with a 25-cycle miss
-// penalty.
+// set indexings, a 4 KB direct-mapped cache with a 25-cycle miss
+// penalty, and a 512 B 2-way write-back cache (its thrashing windows
+// evict lines dirtied before the window, which is what separates a
+// write-back warm-up of 2 iterations from the required 3).
 func oracleAxisConfigs() map[string]Config {
 	with := func(f func(*Config)) Config {
 		c := DefaultConfig()
@@ -126,6 +129,11 @@ func oracleAxisConfigs() map[string]Config {
 		"DM4K-miss25": with(func(c *Config) {
 			c.Cache = cache.Geometry{Size: 4 << 10, BlockSize: 32, Assoc: 1}
 			c.MissPenalty = 25
+		}),
+		"WB-2w512": with(func(c *Config) {
+			c.Cache = cache.Geometry{Size: 512, BlockSize: 32, Assoc: 2}
+			c.WritePolicy = cache.WriteBack
+			c.WritebackPenalty = 40
 		}),
 	}
 }
@@ -294,6 +302,88 @@ func TestRLEEngineSingleRef(t *testing.T) {
 				checkMatchesReplay(t, g, mkDisp, base, cfg)
 			})
 		}
+	}
+}
+
+// TestRLEEngineThrashingWindows: on a direct-mapped cache where a
+// read of A[i] and a write of B[i] alias in every set, every access
+// misses, so no block window can fast-forward as all-hits. The engine
+// must still simulate each window per access only until the LRU fixed
+// point — 2 iterations under write-through, 3 under write-back — and
+// replay the rest, while staying bit-identical to the per-access
+// replay.
+func TestRLEEngineThrashingWindows(t *testing.T) {
+	const cacheBytes, blockBytes = 1024, 32
+	a := prog.MustArray("tw.A", 4, cacheBytes/4)
+	b := prog.MustArray("tw.B", 4, cacheBytes/4)
+	iter := prog.Seg("i", 0, cacheBytes/4-1)
+	spec := prog.MustProcessSpec("tw.p", iter, 3,
+		prog.StreamRef(a, prog.Read, iter, 1, 0),
+		prog.StreamRef(b, prog.Write, iter, 1, 0))
+	am, err := layout.Pack(blockBytes, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if am.Addr(b, 0)-am.Addr(a, 0) != cacheBytes {
+		t.Fatalf("B does not alias A: bases %d and %d", am.Addr(a, 0), am.Addr(b, 0))
+	}
+	stream, err := trace.NewGenerator(am).RLE(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom := cache.Geometry{Size: cacheBytes, BlockSize: blockBytes, Assoc: 1}
+	for _, wp := range []cache.WritePolicy{cache.WriteThrough, cache.WriteBack} {
+		t.Run(wp.String(), func(t *testing.T) {
+			run := func(seg segmentFunc) (int64, cache.Stats) {
+				cur, err := trace.NewGenerator(am).NewRLECursor(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := cache.MustNew(geom, cache.WithClassification(), cache.WithWritePolicy(wp))
+				cycles, done := seg(cur, c, 2, 75, 40, 0, make([]int64, 4), make([]bool, 2))
+				if !done {
+					t.Fatal("unbounded segment did not complete")
+				}
+				return cycles, c.Stats()
+			}
+			// A window is a segment and the pair of blocks its iterations
+			// touch.
+			type window struct {
+				seg            int
+				blockA, blockB int64
+			}
+			perWindow := map[window]int{}
+			var simulated int64
+			engine := func(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64,
+				blockScratch []int64, writeScratch []bool) (int64, bool) {
+				return runWindows(cur, c, hitLat, missPenalty, wbPenalty, quantum, blockScratch, writeScratch,
+					func(seg int, iter int64) {
+						starts, deltas, _ := stream.Seg(seg)
+						perWindow[window{seg, (starts[0] + iter*deltas[0]) / blockBytes, (starts[1] + iter*deltas[1]) / blockBytes}]++
+						simulated++
+					})
+			}
+			wantCycles, wantStats := run(replaySegment)
+			gotCycles, gotStats := run(engine)
+			if gotCycles != wantCycles || gotStats != wantStats {
+				t.Fatalf("engine (%d cycles, %+v) != per-access replay (%d cycles, %+v)", gotCycles, gotStats, wantCycles, wantStats)
+			}
+			if wantStats.Hits != 0 {
+				t.Fatalf("%d hits: the arrays do not thrash", wantStats.Hits)
+			}
+			warm := 2
+			if wp == cache.WriteBack {
+				warm = 3
+			}
+			for w, n := range perWindow {
+				if n > warm {
+					t.Errorf("window %+v ran %d iterations per access, want at most %d", w, n, warm)
+				}
+			}
+			if simulated >= stream.Iters() {
+				t.Fatalf("%d of %d iterations ran per access: nothing was replayed", simulated, stream.Iters())
+			}
+		})
 	}
 }
 

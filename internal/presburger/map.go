@@ -42,16 +42,6 @@ func MustMap(in *Space, exprs ...LinExpr) *Map {
 	return m
 }
 
-// Identity returns the identity map over the space.
-func Identity(in *Space) *Map {
-	n := in.Dim()
-	exprs := make([]LinExpr, n)
-	for i := 0; i < n; i++ {
-		exprs[i] = Var(n, i)
-	}
-	return MustMap(in, exprs...)
-}
-
 // InSpace returns the input space.
 func (m *Map) InSpace() *Space { return m.in }
 

@@ -355,19 +355,10 @@ func TestMapApplyAndImage(t *testing.T) {
 }
 
 func TestImageSpaceMismatch(t *testing.T) {
-	m := Identity(MustSpace("i"))
+	m := MustMap(MustSpace("i"), Var(1, 0))
 	b := MustRect(MustSpace("j"), []int64{0}, []int64{5})
 	if err := m.ImagePoints(b, func([]int64) bool { return true }); err == nil {
 		t.Error("image of set over mismatched space should fail")
-	}
-}
-
-func TestIdentityMap(t *testing.T) {
-	sp := MustSpace("i", "j")
-	m := Identity(sp)
-	got := m.Apply([]int64{4, -2}, nil)
-	if got[0] != 4 || got[1] != -2 {
-		t.Errorf("Identity.Apply = %v, want [4 -2]", got)
 	}
 }
 

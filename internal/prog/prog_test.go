@@ -74,7 +74,7 @@ func TestLinearIndexRankMismatchPanics(t *testing.T) {
 func TestNewRefValidation(t *testing.T) {
 	a := MustArray("A", 4, 100)
 	sp := presburger.MustSpace("i")
-	m1 := presburger.Identity(sp)
+	m1 := presburger.MustMap(sp, presburger.Var(1, 0))
 	m2 := presburger.MustMap(sp, presburger.Var(1, 0), presburger.Const(1, 0))
 	if _, err := NewRef(nil, m1, Read); err == nil {
 		t.Error("nil array should fail")
